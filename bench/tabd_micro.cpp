@@ -217,131 +217,13 @@ BENCHMARK(BM_ProtocolFdas)->Arg(4)->Arg(64)->Arg(256);
 BENCHMARK(BM_ProtocolBcs)->Arg(4)->Arg(64)->Arg(256);
 BENCHMARK(BM_ProtocolFine)->Arg(4)->Arg(64)->Arg(256);
 
-// ---- Sharded store put/collect access patterns ---------------------------
-//
-// The striped/contended pair measures the stripe function's effect on the
-// storage hot path itself (no GC above it):
-//  * striped — consecutive checkpoint indices, the RDT-LGC live-window
-//    pattern the low-bit stripe function spreads round-robin across every
-//    shard, so each stripe holds batch/shard_count entries;
-//  * contended — indices stepping by shard_count, so every operation lands
-//    on ONE stripe: the serialized pattern sharding exists to avoid, and
-//    what a contiguous-range stripe function would pay on the hot window.
-// Arg is the dependency-vector width (the dominant copy cost of a put).
-// Each iteration drives a 64-checkpoint batch; the opposite half of the
-// churn (collects for BM_ShardedPut, puts for BM_ShardedCollect) runs with
-// timing paused, which also re-primes every stripe's recycled spare buffer
-// so the measured half stays allocation-free.
-
-constexpr int kShardedBatch = 64;
-
-void BM_ShardedPut(benchmark::State& state, CheckpointIndex stride) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ckpt::ShardedCheckpointStore store(0);
-  causality::DependencyVector dv(n);
-  auto put_batch = [&] {
-    CheckpointIndex next = 0;
-    for (int k = 0; k < kShardedBatch; ++k, next += stride)
-      store.put(next, dv, 0, 1);
-  };
-  auto collect_batch = [&] {
-    CheckpointIndex next = 0;
-    for (int k = 0; k < kShardedBatch; ++k, next += stride)
-      store.collect(next);
-  };
-  put_batch();      // warm the per-shard vector capacities
-  collect_batch();  // prime the per-shard spare recyclers; store is empty
-  for (auto _ : state) {
-    put_batch();  // timed: copy-in puts into recycled per-shard buffers
-    state.PauseTiming();
-    collect_batch();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * kShardedBatch);
-}
-void BM_ShardedPutStriped(benchmark::State& state) {
-  BM_ShardedPut(state, 1);
-}
-void BM_ShardedPutContended(benchmark::State& state) {
-  BM_ShardedPut(
-      state,
-      static_cast<CheckpointIndex>(
-          ckpt::ShardedCheckpointStore::kDefaultShardCount));
-}
-BENCHMARK(BM_ShardedPutStriped)->Arg(4)->Arg(64)->Arg(256);
-BENCHMARK(BM_ShardedPutContended)->Arg(4)->Arg(64)->Arg(256);
-
-void BM_ShardedCollect(benchmark::State& state, CheckpointIndex stride) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ckpt::ShardedCheckpointStore store(0);
-  causality::DependencyVector dv(n);
-  auto put_batch = [&] {
-    CheckpointIndex next = 0;
-    for (int k = 0; k < kShardedBatch; ++k, next += stride)
-      store.put(next, dv, 0, 1);
-  };
-  put_batch();
-  for (auto _ : state) {
-    // Oldest-first elimination order, as collectors produce: the contended
-    // stripe pays a long erase-shift per collect, the striped ones short.
-    CheckpointIndex next = 0;
-    for (int k = 0; k < kShardedBatch; ++k, next += stride)
-      store.collect(next);
-    state.PauseTiming();
-    put_batch();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * kShardedBatch);
-}
-void BM_ShardedCollectStriped(benchmark::State& state) {
-  BM_ShardedCollect(state, 1);
-}
-void BM_ShardedCollectContended(benchmark::State& state) {
-  BM_ShardedCollect(
-      state,
-      static_cast<CheckpointIndex>(
-          ckpt::ShardedCheckpointStore::kDefaultShardCount));
-}
-BENCHMARK(BM_ShardedCollectStriped)->Arg(4)->Arg(64)->Arg(256);
-BENCHMARK(BM_ShardedCollectContended)->Arg(4)->Arg(64)->Arg(256);
-
-// Striped-mode (locked) variants of the put/collect churn: the same
-// single-threaded access patterns with the per-stripe spinlocks armed, so
-// the uncontended locking overhead of StoreConcurrency::kStriped is visible
-// as a delta against the unsynchronized families above.
-void BM_ShardedChurnMode(benchmark::State& state,
-                         ckpt::StoreConcurrency concurrency) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ckpt::ShardedCheckpointStore store(
-      0, ckpt::ShardedCheckpointStore::kDefaultShardCount, concurrency);
-  causality::DependencyVector dv(n);
-  CheckpointIndex next = 0;
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
-  for (; next < window; ++next) store.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
-  for (auto _ : state) {
-    for (int k = 0; k < kShardedBatch; ++k) {
-      store.put(next, dv, 0, 1);
-      store.collect(next - window / 2);
-      ++next;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kShardedBatch);
-}
-void BM_ShardedChurnUnsynchronized(benchmark::State& state) {
-  BM_ShardedChurnMode(state, ckpt::StoreConcurrency::kUnsynchronized);
-}
-void BM_ShardedChurnStripedLocked(benchmark::State& state) {
-  BM_ShardedChurnMode(state, ckpt::StoreConcurrency::kStriped);
-}
-BENCHMARK(BM_ShardedChurnUnsynchronized)->Arg(4)->Arg(64)->Arg(256);
-BENCHMARK(BM_ShardedChurnStripedLocked)->Arg(4)->Arg(64)->Arg(256);
+// Sliding-window put/collect batch of the store churn families below.
+constexpr int kChurnBatch = 64;
 
 // ---- Storage-backend families --------------------------------------------
 //
-// The same sliding-window churn as BM_ShardedChurn*, and the reopen+recover
-// cycle of a restart, per persistence backend (ckpt/storage_backend.hpp):
+// The sliding-window put/collect churn every collector produces, and the
+// reopen+recover cycle of a restart, per persistence backend (ckpt/storage_backend.hpp):
 // the deltas against the in-memory families price what durability costs on
 // the hot path, and the recover families price the recovery path itself —
 // the figure the rollback analyses care about.  Media live under TMPDIR
@@ -357,23 +239,20 @@ ckpt::StorageConfig backend_config(ckpt::StorageBackendKind kind) {
 
 void BM_BackendChurn(benchmark::State& state, ckpt::StorageBackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  ckpt::ShardedCheckpointStore store(
-      0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-      ckpt::StoreConcurrency::kUnsynchronized, backend_config(kind));
+  ckpt::ShardedCheckpointStore store(0, backend_config(kind));
   causality::DependencyVector dv(n);
   CheckpointIndex next = 0;
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
+  constexpr CheckpointIndex window = 16;
   for (; next < window; ++next) store.put(next, dv, 0, 1);
   for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
   for (auto _ : state) {
-    for (int k = 0; k < kShardedBatch; ++k) {
+    for (int k = 0; k < kChurnBatch; ++k) {
       store.put(next, dv, 0, 1);
       store.collect(next - window / 2);
       ++next;
     }
   }
-  state.SetItemsProcessed(state.iterations() * kShardedBatch);
+  state.SetItemsProcessed(state.iterations() * kChurnBatch);
 }
 void BM_BackendChurnMemory(benchmark::State& state) {
   BM_BackendChurn(state, ckpt::StorageBackendKind::kInMemory);
@@ -391,16 +270,13 @@ BENCHMARK(BM_BackendChurnLog)->Arg(4)->Arg(64);
 // ---- Durability-pipeline families ----------------------------------------
 //
 // What group commit buys on the persistent hot path.  The same sliding-
-// window churn shape as BM_BackendChurn at DV width 64, on a SINGLE-stripe
-// store — the pipeline coalesces per stripe, and round-robin striping would
-// spread every window over all stripes and measure the stripe function
-// instead (that interaction is BM_BackendChurn*'s job).  The durability
+// window churn shape as BM_BackendChurn at DV width 64; the durability
 // policy is the swept dimension:
 //  * BM_GroupCommit{Log,Mmap} — Arg is every_k: 0 is the synchronous
 //    baseline the pipeline replaces — kSync write-through plus a
 //    durability point (flush: fsync/msync) after EVERY op, i.e. "durable
 //    when acknowledged" paid inline; k >= 1 batches k ops into one
-//    coalesced emit + durability point per touched stripe.  The /0 vs /16
+//    coalesced emit + durability point.  The /0 vs /16
 //    ratio is the headline per-op saving of the pipeline.  These families
 //    block on media, so wall clock (UseRealTime) is the figure of merit —
 //    cpu_time would hide exactly the wait the pipeline removes;
@@ -425,9 +301,7 @@ void BM_DurabilityChurn(benchmark::State& state,
   // synchronous baseline flushes after every op so each one is durable
   // when it returns — the blocking cost group commit amortizes.
   const bool flush_per_op = policy.mode == ckpt::DurabilityMode::kSync;
-  ckpt::ShardedCheckpointStore store(0, /*shard_count=*/1,
-                                     ckpt::StoreConcurrency::kUnsynchronized,
-                                     durability_config(kind, policy));
+  ckpt::ShardedCheckpointStore store(0, durability_config(kind, policy));
   causality::DependencyVector dv(64);
   CheckpointIndex next = 0;
   constexpr CheckpointIndex window = 128;  // live set, 2x the widest every_k
@@ -435,7 +309,7 @@ void BM_DurabilityChurn(benchmark::State& state,
   for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
   store.flush();  // start every policy from a quiesced medium
   for (auto _ : state) {
-    for (int k = 0; k < kShardedBatch; ++k) {
+    for (int k = 0; k < kChurnBatch; ++k) {
       store.put(next, dv, 0, 1);
       if (flush_per_op) store.flush();
       store.collect(next - window / 2);
@@ -443,7 +317,7 @@ void BM_DurabilityChurn(benchmark::State& state,
       ++next;
     }
   }
-  state.SetItemsProcessed(state.iterations() * kShardedBatch);
+  state.SetItemsProcessed(state.iterations() * kChurnBatch);
 }
 
 ckpt::DurabilityPolicy group_commit_arg(std::int64_t every_k) {
@@ -512,9 +386,7 @@ void BM_RollbackRecover(benchmark::State& state,
   const auto live = static_cast<CheckpointIndex>(state.range(0));
   ckpt::StorageConfig config = backend_config(kind);
   {
-    ckpt::ShardedCheckpointStore store(
-        0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, config);
+    ckpt::ShardedCheckpointStore store(0, config);
     causality::DependencyVector dv(8);
     for (CheckpointIndex i = 0; i < 2 * live; ++i) store.put(i, dv, 0, 1);
     for (CheckpointIndex g = 0; g < live; ++g) store.collect(g);
@@ -522,9 +394,7 @@ void BM_RollbackRecover(benchmark::State& state,
   }
   config.open_mode = ckpt::OpenMode::kAttach;
   for (auto _ : state) {
-    ckpt::ShardedCheckpointStore store(
-        0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, config);
+    ckpt::ShardedCheckpointStore store(0, config);
     benchmark::DoNotOptimize(store.recover());
   }
   state.SetItemsProcessed(state.iterations() *

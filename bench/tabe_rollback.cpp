@@ -115,9 +115,8 @@ Row run(const std::string& name, ckpt::ProtocolKind protocol,
     std::vector<const ckpt::ShardedCheckpointStore*> ptrs;
     bool ok = true;
     for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
-      reopened.push_back(std::make_unique<ckpt::ShardedCheckpointStore>(
-          p, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, attach));
+      reopened.push_back(
+          std::make_unique<ckpt::ShardedCheckpointStore>(p, attach));
       reopened.back()->recover();
       ok = ok && reopened.back()->stored_indices() ==
                      system.node(p).store().stored_indices();

@@ -43,7 +43,7 @@ import sys
 # probe's sampling tax).
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath)\b"
-    r"|^BM_Rollback|^BM_Sharded|^BM_Backend|^BM_FleetRunner"
+    r"|^BM_Rollback|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
     r"|^BM_Protocol")
@@ -134,7 +134,7 @@ def main():
         print("\nno tracked regressions above "
               f"{args.threshold:.0f}% (families: BM_DvMerge, BM_ReceivePath, "
               "BM_NodeAttach*, BM_ChurnRestart*, "
-              "BM_Rollback*, BM_Sharded*, BM_Backend*, BM_FleetRunner, "
+              "BM_Rollback*, BM_Backend*, BM_FleetRunner, "
               "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "
               "BM_Protocol*)")
 

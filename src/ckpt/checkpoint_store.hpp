@@ -11,15 +11,14 @@
 // at most n+1 checkpoints are live, so erase shifts are tiny and the
 // GC-elimination path never allocates.
 //
-// This flat store is also the building block and reference implementation of
-// the index-striped ShardedCheckpointStore (sharded_checkpoint_store.hpp):
-// each stripe there is one StorageBackend, this class being the in-memory
-// one, and tests/store_test.cpp property-tests the two for observable
-// equivalence.  Nodes hold the sharded store; use this one directly for
-// single-stripe scenarios and as the equivalence oracle — the persistent
-// backends (mmap_backend.hpp, log_backend.hpp) embed one of these as their
-// in-memory mirror, so "backend X matches the flat store" is the single
-// equivalence contract everything reduces to.
+// This flat store is also the in-memory StorageBackend behind a process's
+// ShardedCheckpointStore (sharded_checkpoint_store.hpp) — its store in
+// memory mode, its acknowledged mirror when a durability pipeline runs —
+// and the reference implementation tests/store_test.cpp and
+// tests/backend_test.cpp certify every configuration against.  The
+// persistent backends (mmap_backend.hpp, log_backend.hpp) embed one of these
+// as their in-memory mirror, so "backend X matches the flat store" is the
+// single equivalence contract everything reduces to.
 #pragma once
 
 #include <cstdint>

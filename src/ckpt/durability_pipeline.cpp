@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "util/check.hpp"
@@ -28,19 +29,13 @@ constexpr std::chrono::microseconds kWriterIdleNap{50};
 
 }  // namespace
 
-DurabilityPipeline::DurabilityPipeline(
-    DurabilityPolicy policy,
-    std::vector<std::unique_ptr<StorageBackend>>& stripes, std::size_t mask,
-    std::function<void(const StoreStats&)> publish_meta)
+DurabilityPipeline::DurabilityPipeline(DurabilityPolicy policy,
+                                       StorageBackend& backend)
     : policy_(policy),
-      stripes_(stripes),
-      shard_mask_(mask),
-      publish_meta_(std::move(publish_meta)),
-      ring_(ring_capacity_for(std::max<std::size_t>(policy.every_k_ops, 1))),
-      touched_(stripes.size(), 0) {
+      backend_(backend),
+      ring_(ring_capacity_for(std::max<std::size_t>(policy.every_k_ops, 1))) {
   RDTGC_EXPECTS(policy_.mode != DurabilityMode::kSync);
   RDTGC_EXPECTS(policy_.every_k_ops >= 1);
-  RDTGC_EXPECTS(stripes_.size() == mask + 1);
   ring_mask_ = ring_.size() - 1;
   if (policy_.mode == DurabilityMode::kBackground)
     writer_ = std::thread([this] { writer_main(); });
@@ -84,7 +79,6 @@ bool DurabilityPipeline::record_put(CheckpointIndex index,
         slot.index = index;
         slot.stored_at = stored_at;
         slot.bytes = bytes;
-        slot.discarded = 0;
         slot.dv_size = dv.size();
         if (slot.dv.size() < slot.dv_size) slot.dv.resize(slot.dv_size);
         if (slot.dv_size > 0)
@@ -95,28 +89,14 @@ bool DurabilityPipeline::record_put(CheckpointIndex index,
   return trigger;
 }
 
-bool DurabilityPipeline::record_collect(CheckpointIndex index,
-                                        std::uint64_t freed) {
-  return enqueue(Slot::Kind::kCollect, /*is_put=*/false, [&](Slot& slot) {
-    slot.index = index;
-    slot.stored_at = 0;
-    slot.bytes = freed;
-    slot.discarded = 0;
-    slot.dv_size = 0;
-  });
+bool DurabilityPipeline::record_collect(CheckpointIndex index) {
+  return enqueue(Slot::Kind::kCollect, /*is_put=*/false,
+                 [&](Slot& slot) { slot.index = index; });
 }
 
-bool DurabilityPipeline::record_discard(CheckpointIndex ri,
-                                        std::size_t discarded,
-                                        std::uint64_t freed) {
-  const bool trigger =
-      enqueue(Slot::Kind::kDiscardAfter, /*is_put=*/false, [&](Slot& slot) {
-        slot.index = ri;
-        slot.stored_at = 0;
-        slot.bytes = freed;
-        slot.discarded = discarded;
-        slot.dv_size = 0;
-      });
+bool DurabilityPipeline::record_discard(CheckpointIndex ri) {
+  const bool trigger = enqueue(Slot::Kind::kDiscardAfter, /*is_put=*/false,
+                               [&](Slot& slot) { slot.index = ri; });
   // A rollback truncates the acknowledged lineage; the acked index follows
   // it down so the lag figures stay meaningful across restarts.
   acked_index_.store(ri, std::memory_order_relaxed);
@@ -143,71 +123,30 @@ std::size_t DurabilityPipeline::drain_some(std::size_t max_ops) {
   // reads acked_index == synced_index, whatever ops a window happens to
   // end on (a collect leaves the put high-water alone on both sides).
   CheckpointIndex watermark = synced_index_.load(std::memory_order_relaxed);
+  backend_.begin_batch();
   for (std::uint64_t seq = from; seq < to; ++seq) {
     const Slot& slot = ring_[static_cast<std::size_t>(seq & ring_mask_)];
     switch (slot.kind) {
-      case Slot::Kind::kPut: {
-        const std::size_t s = static_cast<std::size_t>(slot.index) & shard_mask_;
-        if (touched_[s] == 0) {
-          stripes_[s]->begin_batch();
-          touched_[s] = 1;
-        }
+      case Slot::Kind::kPut:
         if (scratch_dv_.size() != slot.dv_size)
           scratch_dv_ = causality::DependencyVector(slot.dv_size);
         if (slot.dv_size > 0)
           std::memcpy(&scratch_dv_.at(0), slot.dv.data(),
                       slot.dv_size * sizeof(IntervalIndex));
-        stripes_[s]->put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
-        durable_bytes_ += slot.bytes;
-        ++durable_count_;
-        ++durable_stats_.stored;
-        durable_stats_.peak_count =
-            std::max(durable_stats_.peak_count, durable_count_);
-        durable_stats_.peak_bytes =
-            std::max(durable_stats_.peak_bytes, durable_bytes_);
+        backend_.put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
         watermark = slot.index;
         break;
-      }
-      case Slot::Kind::kCollect: {
-        const std::size_t s = static_cast<std::size_t>(slot.index) & shard_mask_;
-        if (touched_[s] == 0) {
-          stripes_[s]->begin_batch();
-          touched_[s] = 1;
-        }
-        stripes_[s]->collect(slot.index);
-        durable_bytes_ -= slot.bytes;
-        --durable_count_;
-        ++durable_stats_.collected;
+      case Slot::Kind::kCollect:
+        backend_.collect(slot.index);
         break;
-      }
-      case Slot::Kind::kDiscardAfter: {
-        for (std::size_t s = 0; s < stripes_.size(); ++s) {
-          if (touched_[s] == 0) {
-            stripes_[s]->begin_batch();
-            touched_[s] = 1;
-          }
-          stripes_[s]->discard_after(slot.index);
-        }
-        durable_bytes_ -= slot.bytes;
-        durable_count_ -= slot.discarded;
-        durable_stats_.discarded += slot.discarded;
+      case Slot::Kind::kDiscardAfter:
+        backend_.discard_after(slot.index);
         watermark = slot.index;  // the lineage truncated to ri
         break;
-      }
     }
   }
-
-  // One coalesced emit + durability point per touched stripe, then the
-  // meta counters — stripes first so a (modeled) crash between the two
-  // leaves meta one commit behind its stripes never ahead of them; the
-  // object-drop crash model completes the whole drain either way.
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    if (touched_[s] != 0) {
-      stripes_[s]->end_batch(/*durable=*/true);
-      touched_[s] = 0;
-    }
-  }
-  publish_meta_(durable_stats_);
+  // One coalesced emit + durability point for the whole window.
+  backend_.end_batch(/*durable=*/true);
 
   ring_lock_.lock();
   tail_ = to;
@@ -235,17 +174,11 @@ void DurabilityPipeline::flush() {
   }
 }
 
-void DurabilityPipeline::reset_after_recover(CheckpointIndex last_index,
-                                             const StoreStats& stats,
-                                             std::size_t count,
-                                             std::uint64_t bytes) {
+void DurabilityPipeline::reset_after_recover(CheckpointIndex last_index) {
   std::lock_guard<util::SpinLock> drain(drain_lock_);
   ring_lock_.lock();
   RDTGC_EXPECTS(head_ == tail_);  // recover() runs before any mutation
   ring_lock_.unlock();
-  durable_stats_ = stats;
-  durable_count_ = count;
-  durable_bytes_ = bytes;
   acked_ops_.store(0, std::memory_order_relaxed);
   synced_ops_.store(0, std::memory_order_relaxed);
   acked_index_.store(last_index, std::memory_order_relaxed);

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "util/check.hpp"
@@ -280,10 +281,29 @@ void LogStructuredBackend::compact() {
   log_records_ = mem_.count();
   baseline_records_ = mem_.count();
   ++compactions_;
-  // The compacted data was fsync'd before the rename, but the rename
-  // itself (the directory entry) was not — conservatively keep the log
-  // dirty so the next flush() issues a real durability point.
-  dirty_ = true;
+  // The rewrite was fsync'd before the rename, so the file holds nothing
+  // unsynced.  The rename itself is a write to the directory, which an
+  // fsync of the file does not make durable under POSIX (Pillai et al.,
+  // OSDI 2014): sync the directory now, and keep the debt on record so a
+  // failed attempt is retried by the next flush().
+  dirty_ = false;
+  rename_unsynced_ = true;
+  sync_directory();
+}
+
+void LogStructuredBackend::sync_directory() {
+  std::string dir = std::filesystem::path(path_).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) throw_errno("open", dir);
+  const int rc = util::io_fsync(dir_fd);
+  const int saved_errno = errno;
+  ::close(dir_fd);
+  if (rc != 0) {
+    errno = saved_errno;
+    throw_errno("fsync", dir);
+  }
+  rename_unsynced_ = false;
 }
 
 std::size_t LogStructuredBackend::recover() {
@@ -296,6 +316,10 @@ std::size_t LogStructuredBackend::recover() {
   RDTGC_EXPECTS(h.owner == mem_.owner());
   dv_width_ = h.dv_width;
   baseline_records_ = h.baseline_records;
+
+  // A compaction of an empty live set leaves no baseline puts to wait for:
+  // its counter snapshot applies before the first appended record.
+  if (baseline_records_ == 0) mem_.restore_stats(h.stats.to_stats());
 
   std::uint64_t off = sizeof(LogHeader);
   std::uint64_t records = 0;
@@ -337,6 +361,7 @@ std::size_t LogStructuredBackend::recover() {
 }
 
 void LogStructuredBackend::flush() {
+  if (rename_unsynced_) sync_directory();
   if (!dirty_) return;  // nothing reached the medium since the last fsync
   if (util::io_fsync(fd_) != 0) throw_errno("fsync", path_);
   ++fsyncs_;

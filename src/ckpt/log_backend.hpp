@@ -1,4 +1,4 @@
-// Log-structured persistence for one checkpoint-store stripe.
+// Log-structured persistence for one process's checkpoint store.
 //
 // The medium is an append-only operation log:
 //
@@ -18,8 +18,11 @@
 // runs: when the log holds at least `compact_min_records` records and the
 // dead fraction (1 − live/records) reaches `compact_dead_ratio`, the live
 // records are rewritten in ascending index order behind a fresh header into
-// `path.tmp`, fsync'd, and atomically renamed over the log — the truncation
-// step of a log-structured store.  The GC drives compaction indirectly:
+// `path.tmp`, fsync'd, atomically renamed over the log, and the directory
+// fsync'd so the rename itself is durable — the truncation step of a
+// log-structured store.  A failed directory fsync throws util::IoError (the
+// mutation that triggered the compaction is applied) and is retried by the
+// next flush().  The GC drives compaction indirectly:
 // eliminations are what create dead records, so a collector that reclaims
 // more (RDT-LGC at the Theorem-1 optimum) also compacts the log harder.
 //
@@ -32,7 +35,7 @@
 // record magic/length and truncated away.
 //
 // Reads are served by a full in-memory CheckpointStore mirror, as in the
-// mmap backend.  The DV width is fixed per stripe at the first put().
+// mmap backend.  The DV width is fixed per log at the first put().
 #pragma once
 
 #include <cstdint>
@@ -86,6 +89,7 @@ class LogStructuredBackend final : public StorageBackend {
   std::size_t recover() override;
   /// fsync the log (the durability point).  Skipped entirely when nothing
   /// was written since the last flush (the dirty flag; see fsyncs()).
+  /// Also retries a directory fsync a failed compaction left owing.
   void flush() override;
 
   /// Coalesced batch: between begin_batch() and end_batch() appended
@@ -123,6 +127,8 @@ class LogStructuredBackend final : public StorageBackend {
   /// crossed the threshold.
   void maybe_compact();
   void compact();
+  /// fsync the log's directory (makes a compaction's rename durable).
+  void sync_directory();
 
   CheckpointStore mem_;  ///< in-memory mirror serving all reads
   std::string path_;
@@ -138,6 +144,8 @@ class LogStructuredBackend final : public StorageBackend {
   bool pending_recover_ = false;
   /// Unsynced bytes reached the medium since the last successful flush().
   bool dirty_ = false;
+  /// A compaction renamed over the log and the directory is not yet synced.
+  bool rename_unsynced_ = false;
   /// Inside a begin_batch()/end_batch() bracket: appends buffer into
   /// batch_ instead of pwriting.
   bool batching_ = false;

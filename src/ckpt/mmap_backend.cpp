@@ -88,7 +88,7 @@ MmapFileBackend::MmapFileBackend(ProcessId owner, std::string path,
 
 void MmapFileBackend::ensure_width(std::size_t width) {
   if (dv_width_ == kWidthUnset) {
-    // First put fixes the stripe's record layout and sizes the slot region.
+    // First put fixes the segment's record layout and sizes the slot region.
     dv_width_ = static_cast<std::uint32_t>(width);
     header()->dv_width = dv_width_;
     const std::uint64_t capacity = header()->slot_capacity;

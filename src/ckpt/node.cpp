@@ -19,8 +19,7 @@ Node::Node(ProcessId self, std::size_t process_count,
       protocol_(std::move(protocol)),
       gc_(std::move(gc)),
       config_(config),
-      store_(self, ShardedCheckpointStore::kDefaultShardCount,
-             StoreConcurrency::kUnsynchronized, config.storage),
+      store_(self, config.storage),
       dv_(process_count),
       gc_scratch_(process_count) {
   RDTGC_EXPECTS(self >= 0 && static_cast<std::size_t>(self) < process_count);
@@ -156,11 +155,7 @@ void Node::on_receive(const sim::Message& m) {
   // Piggybacked protocol knowledge merges after the forced checkpoint, so a
   // BCS/FI forced checkpoint conceptually carries the message's timestamp.
   protocol_->on_deliver(m);
-  if (config_.batched_gc_path) {
-    gc_->on_new_dependencies(gc_scratch_.span());
-  } else {
-    for (const ProcessId j : gc_scratch_) gc_->on_new_dependency(j);
-  }
+  gc_->on_new_dependencies(gc_scratch_.span());
 }
 
 void Node::take_checkpoint(ccp::CheckpointKind kind) {

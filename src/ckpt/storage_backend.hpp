@@ -1,9 +1,8 @@
-// Pluggable persistence behind the per-stripe checkpoint store.
+// Pluggable persistence behind a process's checkpoint store.
 //
 // The paper's Theorem-1-optimal GC reclaims *stable storage*; this trait is
-// where stable storage actually lives.  Every stripe of a
-// ShardedCheckpointStore is one StorageBackend, and three implementations
-// exist:
+// where stable storage actually lives.  A process's ShardedCheckpointStore
+// is one StorageBackend, and three implementations exist:
 //
 //  * ckpt::CheckpointStore (checkpoint_store.hpp) — the in-memory flat
 //    store, unchanged zero-allocation hot path; the reference every other
@@ -11,7 +10,7 @@
 //    of them through one randomized trace and requires bit-identical
 //    observable state);
 //  * ckpt::MmapFileBackend (mmap_backend.hpp) — one mmap'd segment file per
-//    stripe: fixed header, fixed-size checkpoint slots appended with their
+//    process: fixed header, fixed-size checkpoint slots appended with their
 //    dependency vectors, GC eliminations clear a live flag in place, the
 //    mapping grows geometrically via remap;
 //  * ckpt::LogStructuredBackend (log_backend.hpp) — an append-only log of
@@ -29,8 +28,8 @@
 //  * flush() is the durability point (msync/fsync); dropping a backend
 //    without it models a crash — the page-cache contents survive, and
 //    recover() must reconstruct from whatever reached the file.  Under a
-//    non-kSync DurabilityPolicy the sharded store additionally holds a
-//    window of acknowledged-but-unapplied mutations (durability_pipeline.hpp);
+//    non-kSync DurabilityPolicy the store additionally holds a window of
+//    acknowledged-but-unapplied mutations (durability_pipeline.hpp);
 //    dropping the STORE discards that window, and recovery lands on the
 //    consistent prefix the last group commit established;
 //  * dv_view() exposes the stored dependency vector without forcing a copy
@@ -38,8 +37,8 @@
 //
 // Virtual dispatch is deliberate: the churn path may pay an indirect call
 // but must never allocate through the trait for the in-memory backend
-// (tests/hot_path_test.cpp enforces it), and the ShardedCheckpointStore
-// keeps a devirtualized fast path for the default in-memory stripes.
+// (tests/hot_path_test.cpp enforces it), and the store keeps a
+// devirtualized fast path for its in-memory flat store.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,7 @@ struct StoreStats {
 };
 
 /// Fixed-width on-disk image of StoreStats, embedded verbatim in every
-/// persistent header (mmap segment, log, store meta) so the counters are
+/// persistent header (mmap segment, log) so the counters are
 /// converted by one pair of helpers instead of a hand-copied field list per
 /// header.  Growing StoreStats means extending this struct and bumping the
 /// file-format versions.
@@ -104,11 +103,11 @@ struct PersistedStoreStats {
   }
 };
 
-/// Which persistence medium a store (stripe) writes to.
+/// Which persistence medium a store writes to.
 enum class StorageBackendKind {
   kInMemory,       ///< flat vectors, no persistence (the reference)
-  kMmapFile,       ///< mmap'd slot segment per stripe
-  kLogStructured,  ///< append-only log + compaction per stripe
+  kMmapFile,       ///< one mmap'd slot segment per process
+  kLogStructured,  ///< one append-only log + compaction per process
 };
 
 /// Human-readable backend name for tables, logs, and bench labels.
@@ -131,7 +130,7 @@ enum class DurabilityMode {
   kSync,
   /// Mutations are acknowledged from the in-memory mirror and batched; a
   /// GROUP COMMIT — applying the whole window to the media with coalesced
-  /// writes and one sync per touched stripe — runs inline on the
+  /// writes and one sync — runs inline on the
   /// triggering operation every `every_k_ops` mutations (and, when
   /// `every_checkpoint` is set, on every put).
   kGroupCommit,
@@ -144,7 +143,7 @@ enum class DurabilityMode {
 /// Human-readable mode name for tables, logs, and bench labels.
 const char* durability_mode_name(DurabilityMode mode);
 
-/// The latency/durability knob of a store's persistent stripes.
+/// The latency/durability knob of a store's persistent medium.
 struct DurabilityPolicy {
   DurabilityMode mode = DurabilityMode::kSync;
   /// Group-commit window: commit after this many acknowledged mutations
@@ -166,8 +165,8 @@ struct DurabilityPolicy {
 /// Construction-time storage choice for a ShardedCheckpointStore (and
 /// through ckpt::Node::Config / harness::SystemConfig, for every process of
 /// a simulated system).  `directory` must name an existing, writable
-/// directory for the persistent kinds; files are per (owner, stripe) so any
-/// number of processes may share one directory.
+/// directory for the persistent kinds; each process writes exactly one file
+/// there, so any number of processes may share one directory.
 struct StorageConfig {
   StorageBackendKind kind = StorageBackendKind::kInMemory;
   std::string directory;
@@ -183,10 +182,8 @@ struct StorageConfig {
   /// byte-for-byte.
   DurabilityPolicy durability;
 
-  /// Segment/log path of one stripe: directory/p<owner>_s<stripe>.<ext>.
-  std::string stripe_file(ProcessId owner, std::size_t stripe) const;
-  /// Path of the store-global meta segment: directory/p<owner>.meta.
-  std::string meta_file(ProcessId owner) const;
+  /// Segment/log path of process `owner`: directory/p<owner>.seg or .log.
+  std::string store_file(ProcessId owner) const;
 };
 
 class StorageBackend {
@@ -262,8 +259,8 @@ class StorageBackend {
 
   // ---- Coalesced-batch protocol (durability pipeline drains) ----
   //
-  // A DurabilityPipeline drain brackets the mutations it replays into one
-  // stripe with begin_batch()/end_batch(): between the two the backend may
+  // A DurabilityPipeline drain brackets the mutations it replays into the
+  // backend with begin_batch()/end_batch(): between the two the backend may
   // buffer its medium writes, and end_batch() emits them with as few
   // syscalls as it can manage (the log backend turns a whole window of
   // records into ONE pwrite), then makes them durable when `durable` is
@@ -279,10 +276,9 @@ class StorageBackend {
   }
 };
 
-/// Instantiate the backend `config` selects for stripe `stripe` of process
-/// `owner`'s store.
+/// Open the persistent medium `config` selects (kMmapFile or
+/// kLogStructured) for process `owner`'s store.
 std::unique_ptr<StorageBackend> make_backend(const StorageConfig& config,
-                                             ProcessId owner,
-                                             std::size_t stripe);
+                                             ProcessId owner);
 
 }  // namespace rdtgc::ckpt

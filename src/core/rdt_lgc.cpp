@@ -89,8 +89,8 @@ void RdtLgc::rebuild_from_store(
     const std::optional<std::vector<IntervalIndex>>& li,
     const causality::DependencyVector& dv) {
   // Algorithm 3 line 7: rebuild the CCBs from the surviving storage.
-  // stored_indices() is the store's cached cross-shard merged view (no
-  // per-call copy); `stored` and the `dvs` pointers are only valid until
+  // stored_indices() is a live view of the store's flat index (no per-call
+  // copy); `stored` and the `dvs` pointers are only valid until
   // drop_zero_count() below starts eliminating, which is after their last
   // use.
   uc_->clear();

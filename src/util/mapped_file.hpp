@@ -1,6 +1,5 @@
 // RAII wrapper around one mmap'd regular file, the raw medium under the
-// persistent checkpoint-storage backends (ckpt/mmap_backend.hpp and the
-// sharded store's meta segment).
+// mmap checkpoint-storage backend (ckpt/mmap_backend.hpp).
 //
 // Semantics the backends rely on:
 //  * the mapping is MAP_SHARED, so every store through data() lands in the

@@ -1,6 +1,6 @@
 // Storage-backend contract tests: every persistence backend behind the
-// ckpt::StorageBackend trait — in-memory flat (the reference), sharded
-// in-memory, mmap'd segment, log-structured — is driven through the shared
+// ckpt::StorageBackend trait — in-memory flat (the reference), the process
+// store in memory, mmap'd segment, log-structured — is driven through the shared
 // test::RandomStoreTrace harness and must present bit-identical observable
 // state (indices, counters, stats, DV contents), including across
 // mid-trace reopens and after crash-style drops reopened via recover().
@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ccp/analysis.hpp"
@@ -65,16 +67,15 @@ bool forced_async_durability() {
 // ---- One trace, four backends, equal after every op -----------------------
 
 /// The tentpole property: an identical randomized schedule through the flat
-/// reference, the sharded in-memory store, the mmap backend, and the
+/// reference, the in-memory process store, the mmap backend, and the
 /// log-structured backend yields identical observable state after every
 /// operation.  `reopen_probability > 0` additionally drops and reopens the
 /// persistent stores at random points (recover() mid-schedule), alternating
 /// clean flushes with unclean drops.
-void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
-                            double reopen_probability) {
+void run_four_backend_trace(std::uint64_t seed, double reopen_probability) {
   const RandomStoreTrace trace(seed);
   CheckpointStore flat(5);
-  ShardedCheckpointStore memory(5, shard_count);
+  ShardedCheckpointStore memory(5);
 
   ScratchDir mmap_dir("mmap_eq");
   ScratchDir log_dir("log_eq");
@@ -82,10 +83,8 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
       persistent_config(StorageBackendKind::kMmapFile, mmap_dir.path());
   StorageConfig log_cfg =
       persistent_config(StorageBackendKind::kLogStructured, log_dir.path());
-  auto mmap_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
-  auto log_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+  auto mmap_store = std::make_unique<ShardedCheckpointStore>(5, mmap_cfg);
+  auto log_store = std::make_unique<ShardedCheckpointStore>(5, log_cfg);
   mmap_cfg.open_mode = OpenMode::kAttach;
   log_cfg.open_mode = OpenMode::kAttach;
 
@@ -114,10 +113,8 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
       }
       mmap_store.reset();
       log_store.reset();
-      mmap_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
-      log_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+      mmap_store = std::make_unique<ShardedCheckpointStore>(5, mmap_cfg);
+      log_store = std::make_unique<ShardedCheckpointStore>(5, log_cfg);
       ASSERT_EQ(mmap_store->recover(), flat.count());
       ASSERT_EQ(log_store->recover(), flat.count());
       test::expect_stores_equal(flat, *mmap_store);
@@ -128,14 +125,14 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
 }
 
 TEST(BackendEquivalence, AllBackendsMatchFlatReferenceOnRandomizedTraces) {
-  run_four_backend_trace(1, 20260726, 0.0);
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 97, 0.0);
-  run_four_backend_trace(16, 7, 0.0);
+  run_four_backend_trace(20260726, 0.0);
+  run_four_backend_trace(97, 0.0);
+  run_four_backend_trace(7, 0.0);
 }
 
 TEST(BackendEquivalence, MidTraceReopenSchedulesKeepEquivalence) {
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 41, 0.05);
-  run_four_backend_trace(1, 13, 0.08);
+  run_four_backend_trace(41, 0.05);
+  run_four_backend_trace(13, 0.08);
 }
 
 // ---- Crash-style recovery at the trace level ------------------------------
@@ -146,18 +143,14 @@ void run_crash_recovery(StorageBackendKind kind, bool clean,
   CheckpointStore flat(2);
   ScratchDir dir("crash");
   StorageConfig config = persistent_config(kind, dir.path());
-  auto store = std::make_unique<ShardedCheckpointStore>(
-      2, ShardedCheckpointStore::kDefaultShardCount,
-      ckpt::StoreConcurrency::kUnsynchronized, config);
+  auto store = std::make_unique<ShardedCheckpointStore>(2, config);
   trace.replay(flat);
   trace.replay(*store);
   if (clean) store->flush();
   store.reset();  // clean=false models a crash: no durability point ran
 
   config.open_mode = OpenMode::kAttach;
-  ShardedCheckpointStore reopened(
-      2, ShardedCheckpointStore::kDefaultShardCount,
-      ckpt::StoreConcurrency::kUnsynchronized, config);
+  ShardedCheckpointStore reopened(2, config);
   if (!clean && forced_async_durability()) {
     // Crash mid-window under the forced pipeline: the acknowledged tail is
     // gone, but what recovers must be a consistent prefix of the schedule.
@@ -316,6 +309,34 @@ TEST(LogBackend, CompactionBoundsTheLogAndPreservesState) {
   EXPECT_EQ(reopened.baseline_records(), backend.baseline_records());
 }
 
+TEST(LogBackend, CompactionOfAnEmptyLiveSetKeepsItsCounters) {
+  // Regression: a compaction that finds no live checkpoint writes a
+  // zero-record baseline, and recover() must still adopt the header's
+  // counter snapshot instead of recounting from the post-compaction tail.
+  ScratchDir dir("log_empty_compact");
+  const std::string path = dir.path() + "/p0.log";
+  CheckpointStore reference(0);
+  ckpt::LogStructuredBackend backend(0, path, OpenMode::kFresh,
+                                     /*compact_min_records=*/4,
+                                     /*compact_dead_ratio=*/0.5);
+  causality::DependencyVector dv(3);
+  for (CheckpointIndex i = 0; i < 3; ++i) {
+    backend.put(i, dv, 0, 1);
+    reference.put(i, dv, 0, 1);
+  }
+  backend.discard_after(-1);  // empties the store: compacts to nothing
+  reference.discard_after(-1);
+  ASSERT_EQ(backend.compactions(), 1u);
+  ASSERT_EQ(backend.baseline_records(), 0u);
+  backend.put(0, dv, 1, 1);  // a tail record after the empty baseline
+  reference.put(0, dv, 1, 1);
+  backend.flush();
+
+  ckpt::LogStructuredBackend reopened(0, path, OpenMode::kAttach, 4, 0.5);
+  EXPECT_EQ(reopened.recover(), reference.count());
+  test::expect_stores_equal(reference, reopened);
+}
+
 // ---- Whole-system runs over persistent storage ----------------------------
 
 /// A complete randomized workload writes its checkpoints through `kind`;
@@ -361,9 +382,7 @@ void run_system_recovery(StorageBackendKind kind, bool clean) {
   std::vector<std::unique_ptr<ShardedCheckpointStore>> reopened;
   std::vector<const ShardedCheckpointStore*> reopened_ptrs;
   for (ProcessId p = 0; p < n; ++p) {
-    reopened.push_back(std::make_unique<ShardedCheckpointStore>(
-        p, ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, attach));
+    reopened.push_back(std::make_unique<ShardedCheckpointStore>(p, attach));
     reopened.back()->recover();
     test::expect_stores_equal(system->node(p).store(), *reopened.back());
     reopened_ptrs.push_back(reopened.back().get());
@@ -420,16 +439,35 @@ TEST(BackendRecovery, SystemRestartFromLogAfterUncleanStop) {
 // restart critical path (ckpt::Node attach); the failure modes below must be
 // loud errors, never a silently empty line.
 
-/// Attaching to a directory no store ever wrote: the meta file is absent, so
-/// construction itself fails with an I/O error — there is nothing to recover.
+/// Attaching where no store file exists must fail with an I/O error at
+/// construction — there is nothing to recover, and a silently empty store
+/// would fabricate a lineage.  Covers both a directory no store ever wrote
+/// and a persisted store whose file was deleted out from under it.  Also
+/// pins the layout: a persistent store leaves exactly one file per process.
 void attach_empty_directory(StorageBackendKind kind) {
   ScratchDir dir("attach_empty");
-  StorageConfig attach = persistent_config(kind, dir.path());
+  StorageConfig config = persistent_config(kind, dir.path());
+  StorageConfig attach = config;
   attach.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
-                                      ckpt::StoreConcurrency::kUnsynchronized,
-                                      attach),
-               util::IoError);
+  EXPECT_THROW(ShardedCheckpointStore(0, attach), util::IoError);
+
+  {
+    ShardedCheckpointStore store(0, config);
+    causality::DependencyVector dv(3);
+    for (CheckpointIndex g = 0; g < 40; ++g) {
+      dv.at(0) = g;
+      store.put(g, dv, static_cast<SimTime>(g + 1), 64);
+      if (g >= 4) store.collect(g - 4);  // churn: segment growth, compaction
+    }
+    store.flush();
+  }
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path()))
+    files.push_back(entry.path().string());
+  ASSERT_EQ(files, std::vector<std::string>{config.store_file(0)});
+
+  ASSERT_EQ(std::remove(config.store_file(0).c_str()), 0);
+  EXPECT_THROW(ShardedCheckpointStore(0, attach), util::IoError);
 }
 
 TEST(BackendRecoveryEdge, AttachEmptyDirectoryMmap) {
@@ -437,38 +475,6 @@ TEST(BackendRecoveryEdge, AttachEmptyDirectoryMmap) {
 }
 TEST(BackendRecoveryEdge, AttachEmptyDirectoryLog) {
   attach_empty_directory(StorageBackendKind::kLogStructured);
-}
-
-/// A stripe file deleted out from under a persisted store: the attach open
-/// of the missing stripe must fail with an I/O error rather than recover a
-/// partial set.
-void attach_missing_stripe(StorageBackendKind kind) {
-  ScratchDir dir("attach_torn");
-  StorageConfig config = persistent_config(kind, dir.path());
-  {
-    ShardedCheckpointStore store(0, 4,
-                                 ckpt::StoreConcurrency::kUnsynchronized,
-                                 config);
-    causality::DependencyVector dv(3);
-    for (CheckpointIndex g = 0; g < 8; ++g) {
-      dv.at(0) = g;
-      store.put(g, dv, static_cast<SimTime>(g + 1), 64);
-    }
-    store.flush();
-  }
-  ASSERT_EQ(std::remove(config.stripe_file(0, 1).c_str()), 0);
-  config.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
-                                      ckpt::StoreConcurrency::kUnsynchronized,
-                                      config),
-               util::IoError);
-}
-
-TEST(BackendRecoveryEdge, AttachMissingStripeFileMmap) {
-  attach_missing_stripe(StorageBackendKind::kMmapFile);
-}
-TEST(BackendRecoveryEdge, AttachMissingStripeFileLog) {
-  attach_missing_stripe(StorageBackendKind::kLogStructured);
 }
 
 /// A store whose every checkpoint was collected before the crash: the media
@@ -479,9 +485,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
   ScratchDir dir("attach_barren");
   StorageConfig config = persistent_config(kind, dir.path());
   {
-    ShardedCheckpointStore store(0, 4,
-                                 ckpt::StoreConcurrency::kUnsynchronized,
-                                 config);
+    ShardedCheckpointStore store(0, config);
     causality::DependencyVector dv(3);
     for (CheckpointIndex g = 0; g < 8; ++g) {
       dv.at(0) = g;
@@ -492,9 +496,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
     store.flush();
   }
   config.open_mode = OpenMode::kAttach;
-  ShardedCheckpointStore reopened(0, 4,
-                                  ckpt::StoreConcurrency::kUnsynchronized,
-                                  config);
+  ShardedCheckpointStore reopened(0, config);
   EXPECT_EQ(reopened.recover(), 0u);
   const std::vector<const ShardedCheckpointStore*> stores = {&reopened};
   EXPECT_THROW(recovery::recovery_line_from_storage(stores),

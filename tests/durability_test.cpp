@@ -5,12 +5,14 @@
 //    every counter still matches the flat reference after every op (the
 //    acked mirror serves reads), and a flushed store recovers bit-identical;
 //  * group-commit window math — a window of k ops reaches the medium as ONE
-//    fsync (log) / ONE msync (mmap) per touched stripe, pinned via the
+//    fsync (log) / ONE msync (mmap), pinned via the
 //    backends' introspection counters and the pipeline's commits();
 //  * dirty-flag skip — flush() with nothing written issues no syscall
 //    (regression for the fsyncs()/msyncs() counters);
 //  * flush error paths — an injected fsync/msync failure surfaces as
 //    util::IoError with mirror and medium still coherent;
+//  * log compaction — the rename over the log is followed by a directory
+//    fsync, whose failure surfaces as util::IoError and is retried;
 //  * kill inside the window — dropping a store mid-window recovers a
 //    consistent PREFIX of the acknowledged schedule: deterministic (the last
 //    commit boundary) under kGroupCommit, some drain boundary under
@@ -22,6 +24,8 @@
 //    so the durable prefix can never have collected it);
 //  * the metrics::DurabilityLag probe and the sweep-summary plumbing.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -92,9 +96,7 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
       CheckpointStore flat(3);
       ScratchDir dir("policy_eq");
       StorageConfig config = async_config(kind, dir.path(), policy);
-      auto store = std::make_unique<ShardedCheckpointStore>(
-          3, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
+      auto store = std::make_unique<ShardedCheckpointStore>(3, config);
       ASSERT_TRUE(store->pipelined());
 
       for (const RandomStoreTrace::Op& op : trace.ops()) {
@@ -109,9 +111,7 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
       store.reset();
 
       config.open_mode = OpenMode::kAttach;
-      ShardedCheckpointStore reopened(
-          3, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
+      ShardedCheckpointStore reopened(3, config);
       ASSERT_EQ(reopened.recover(), flat.count());
       test::expect_stores_equal(flat, reopened);
       // reset_after_recover: the recovered store reports zero lag and a
@@ -126,7 +126,7 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
 
 // ---- Group-commit window math ---------------------------------------------
 
-/// k puts through a single-stripe log store must reach the medium as ONE
+/// k puts through a log store must reach the medium as ONE
 /// coalesced pwrite + fsync per window, with the lag counting the open tail.
 TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   constexpr std::size_t kEvery = 4;
@@ -134,10 +134,9 @@ TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   const StorageConfig config =
       async_config(StorageBackendKind::kLogStructured, dir.path(),
                    DurabilityPolicy::GroupCommit(kEvery));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
+  ShardedCheckpointStore store(0, config);
   const auto& log =
-      dynamic_cast<const LogStructuredBackend&>(store.durable_shard(0));
+      dynamic_cast<const LogStructuredBackend&>(store.durable_backend());
   const std::uint64_t fsyncs_before = log.fsyncs();
 
   causality::DependencyVector dv(4);
@@ -154,7 +153,7 @@ TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   EXPECT_EQ(status.lag_ops(), 2u);
   EXPECT_EQ(status.acked_index, 9);
   EXPECT_EQ(status.synced_index, 7);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
+  EXPECT_EQ(store.durable_backend().count(), 8u);
   EXPECT_EQ(store.count(), 10u);  // reads come from the acked mirror
 }
 
@@ -166,10 +165,9 @@ TEST(GroupCommitWindow, MmapDefersMsyncToTheCommit) {
   const StorageConfig config =
       async_config(StorageBackendKind::kMmapFile, dir.path(),
                    DurabilityPolicy::GroupCommit(kEvery));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
+  ShardedCheckpointStore store(0, config);
   const auto& mmap =
-      dynamic_cast<const MmapFileBackend&>(store.durable_shard(0));
+      dynamic_cast<const MmapFileBackend&>(store.durable_backend());
   const std::uint64_t msyncs_before = mmap.msyncs();
 
   causality::DependencyVector dv(4);
@@ -178,7 +176,7 @@ TEST(GroupCommitWindow, MmapDefersMsyncToTheCommit) {
   EXPECT_EQ(store.pipeline()->commits(), 2u);
   EXPECT_EQ(mmap.msyncs() - msyncs_before, 2u);
   EXPECT_EQ(store.durability().lag_ops(), 1u);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
+  EXPECT_EQ(store.durable_backend().count(), 8u);
 }
 
 /// every_checkpoint: each put closes the window immediately (checkpoint-
@@ -188,8 +186,7 @@ TEST(GroupCommitWindow, EveryCheckpointCommitsOnPutsAndBatchesCollects) {
   const StorageConfig config = async_config(
       StorageBackendKind::kLogStructured, dir.path(),
       DurabilityPolicy::GroupCommit(64, /*per_checkpoint=*/true));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
+  ShardedCheckpointStore store(0, config);
   causality::DependencyVector dv(4);
 
   store.put(0, dv, 0, 1);
@@ -202,18 +199,17 @@ TEST(GroupCommitWindow, EveryCheckpointCommitsOnPutsAndBatchesCollects) {
   store.put(1, dv, 0, 1);  // drains the batched collect AND this put
   EXPECT_EQ(store.durability().lag_ops(), 0u);
   EXPECT_EQ(store.pipeline()->commits(), 2u);
-  EXPECT_EQ(store.durable_shard(0).count(), 1u);
+  EXPECT_EQ(store.durable_backend().count(), 1u);
 }
 
 /// flush() quiesces the pipeline: acked == synced afterwards and the
-/// durable stripes mirror the acked ones exactly.
+/// durable backend mirrors the acked state exactly.
 TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   ScratchDir dir("gc_flush");
   const StorageConfig config =
       async_config(StorageBackendKind::kLogStructured, dir.path(),
                    DurabilityPolicy::Background(8));
-  ShardedCheckpointStore store(0, 4, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
+  ShardedCheckpointStore store(0, config);
   causality::DependencyVector dv(4);
   for (CheckpointIndex i = 0; i < 37; ++i) store.put(i, dv, 0, 1);
   for (CheckpointIndex i = 0; i < 37; i += 3) store.collect(i);
@@ -222,10 +218,8 @@ TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   const ckpt::DurabilityStatus status = store.durability();
   EXPECT_EQ(status.lag_ops(), 0u);
   EXPECT_EQ(status.acked_index, status.synced_index);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(store.durable_shard(s).stored_indices(),
-              store.shard(s).stored_indices());
-  }
+  EXPECT_EQ(store.durable_backend().stored_indices(), store.stored_indices());
+  EXPECT_EQ(store.durable_backend().count(), store.count());
 }
 
 // ---- Dirty-flag flush skip (regression) -----------------------------------
@@ -235,7 +229,7 @@ TEST(DirtyFlag, LogFlushSkipsFsyncWhenClean) {
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  LogStructuredBackend log(0, config.stripe_file(0, 0), OpenMode::kFresh, 64,
+  LogStructuredBackend log(0, config.store_file(0), OpenMode::kFresh, 64,
                            0.5);
   causality::DependencyVector dv(4);
 
@@ -258,7 +252,7 @@ TEST(DirtyFlag, MmapFlushSkipsMsyncWhenClean) {
   StorageConfig config;
   config.kind = StorageBackendKind::kMmapFile;
   config.directory = dir.path();
-  MmapFileBackend mmap(0, config.stripe_file(0, 0), OpenMode::kFresh, 4);
+  MmapFileBackend mmap(0, config.store_file(0), OpenMode::kFresh, 4);
   causality::DependencyVector dv(4);
 
   mmap.put(0, dv, 0, 1);
@@ -282,7 +276,7 @@ TEST(FlushErrors, LogFsyncFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  const std::string path = config.store_file(0);
   {
     LogStructuredBackend log(0, path, OpenMode::kFresh, 64, 0.5);
     causality::DependencyVector dv(4);
@@ -313,7 +307,7 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   StorageConfig config;
   config.kind = StorageBackendKind::kMmapFile;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  const std::string path = config.store_file(0);
   {
     MmapFileBackend mmap(0, path, OpenMode::kFresh, 4);
     causality::DependencyVector dv(4);
@@ -341,6 +335,105 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   EXPECT_TRUE(clean.recovered_clean());
 }
 
+// ---- Log compaction makes its rename durable -------------------------------
+
+/// fsync override for the compaction tests: counts the directory fds it is
+/// handed (fstat tells them apart from the log's own fd) and, when armed,
+/// fails exactly those with EIO.
+std::uint64_t g_dir_fsyncs = 0;
+bool g_fail_dir_fsync = false;
+
+int directory_recording_fsync(int fd) {
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISDIR(st.st_mode)) {
+    ++g_dir_fsyncs;
+    if (g_fail_dir_fsync) {
+      errno = EIO;
+      return -1;
+    }
+  }
+  return ::fsync(fd);
+}
+
+/// Installs directory_recording_fsync for one scope.
+struct DirectoryFsyncRecorder {
+  explicit DirectoryFsyncRecorder(bool fail) {
+    g_dir_fsyncs = 0;
+    g_fail_dir_fsync = fail;
+    util::set_io_fsync_for_test(&directory_recording_fsync);
+  }
+  ~DirectoryFsyncRecorder() { util::set_io_fsync_for_test(nullptr); }
+  DirectoryFsyncRecorder(const DirectoryFsyncRecorder&) = delete;
+  DirectoryFsyncRecorder& operator=(const DirectoryFsyncRecorder&) = delete;
+};
+
+/// Sliding-window churn on a log that compacts every few records: returns
+/// the index of the first collect that threw util::IoError, or -1.
+CheckpointIndex churn_until_io_error(LogStructuredBackend& log) {
+  causality::DependencyVector dv(3);
+  for (CheckpointIndex i = 0; i < 32; ++i) {
+    dv.at(1) = i;
+    log.put(i, dv, 0, 1);
+    if (i < 2) continue;
+    try {
+      log.collect(i - 2);
+    } catch (const util::IoError&) {
+      return i - 2;
+    }
+  }
+  return -1;
+}
+
+/// Under POSIX an fsync of the renamed file does not make the rename itself
+/// durable (Pillai et al., OSDI 2014): every compaction must also fsync the
+/// directory that holds the log.
+TEST(LogCompaction, RenameIsFollowedByADirectoryFsync) {
+  ScratchDir dir("compact_dirsync");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kLogStructured;
+  config.directory = dir.path();
+  LogStructuredBackend log(0, config.store_file(0), OpenMode::kFresh,
+                           /*compact_min_records=*/8,
+                           /*compact_dead_ratio=*/0.5);
+  DirectoryFsyncRecorder recorder(/*fail=*/false);
+  ASSERT_EQ(churn_until_io_error(log), -1);
+  ASSERT_GT(log.compactions(), 0u);
+  EXPECT_EQ(g_dir_fsyncs, log.compactions())
+      << "a compaction renamed over the log without syncing its directory";
+}
+
+/// A failing directory fsync surfaces as util::IoError; the collect that
+/// triggered the compaction is applied, and the next flush() retries the
+/// directory sync.
+TEST(LogCompaction, FailedDirectoryFsyncSurfacesAsIoErrorAndIsRetried) {
+  ScratchDir dir("compact_dirsync_err");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kLogStructured;
+  config.directory = dir.path();
+  const std::string path = config.store_file(0);
+  CheckpointIndex failed = -1;
+  std::vector<CheckpointIndex> live;
+  {
+    LogStructuredBackend log(0, path, OpenMode::kFresh, 8, 0.5);
+    {
+      DirectoryFsyncRecorder recorder(/*fail=*/true);
+      failed = churn_until_io_error(log);
+      ASSERT_GE(failed, 0) << "no compaction ran";
+      EXPECT_EQ(g_dir_fsyncs, 1u);
+      EXPECT_FALSE(log.contains(failed));  // the collect itself is applied
+    }
+    live = log.stored_indices();
+    DirectoryFsyncRecorder recorder(/*fail=*/false);
+    log.flush();
+    EXPECT_EQ(g_dir_fsyncs, 1u) << "flush() did not retry the directory sync";
+    log.flush();
+    EXPECT_EQ(g_dir_fsyncs, 1u);  // and only once
+  }
+  LogStructuredBackend reopened(0, path, OpenMode::kAttach, 8, 0.5);
+  reopened.recover();
+  EXPECT_EQ(reopened.stored_indices(), live);
+}
+
 // ---- Kill inside the window -----------------------------------------------
 
 /// kGroupCommit is deterministic: inline commits fire every k ops, so a
@@ -357,16 +450,12 @@ TEST(KillInsideWindow, GroupCommitRecoversExactlyTheLastCommittedWindow) {
       ScratchDir dir("kill_gc");
       StorageConfig config = async_config(kind, dir.path(),
                                           DurabilityPolicy::GroupCommit(kEvery));
-      auto store = std::make_unique<ShardedCheckpointStore>(
-          1, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
+      auto store = std::make_unique<ShardedCheckpointStore>(1, config);
       trace.replay_prefix(*store, kill);
       store.reset();  // crash: the open window is discarded
 
       config.open_mode = OpenMode::kAttach;
-      ShardedCheckpointStore reopened(
-          1, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
+      ShardedCheckpointStore reopened(1, config);
       reopened.recover();
       const std::size_t prefix =
           test::expect_consistent_prefix(trace, reopened, kill, boundary);
@@ -397,16 +486,12 @@ TEST(KillInsideWindow, RandomizedKillsRecoverAConsistentPrefix) {
 
         ScratchDir dir("kill_rand");
         StorageConfig config = async_config(kind, dir.path(), policy);
-        auto store = std::make_unique<ShardedCheckpointStore>(
-            2, ShardedCheckpointStore::kDefaultShardCount,
-            ckpt::StoreConcurrency::kUnsynchronized, config);
+        auto store = std::make_unique<ShardedCheckpointStore>(2, config);
         trace.replay_prefix(*store, kill);
         store.reset();
 
         config.open_mode = OpenMode::kAttach;
-        ShardedCheckpointStore reopened(
-            2, ShardedCheckpointStore::kDefaultShardCount,
-            ckpt::StoreConcurrency::kUnsynchronized, config);
+        ShardedCheckpointStore reopened(2, config);
         reopened.recover();
         test::expect_consistent_prefix(trace, reopened, kill);
         EXPECT_EQ(reopened.durability().lag_ops(), 0u);
@@ -457,9 +542,7 @@ TEST(SystemCrash, MidWindowKillKeepsEveryNonObsoleteCheckpointBelowTheCut) {
     StorageConfig attach = spec.storage;
     attach.open_mode = OpenMode::kAttach;
     for (ProcessId p = 0; p < n; ++p) {
-      ShardedCheckpointStore reopened(
-          p, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, attach);
+      ShardedCheckpointStore reopened(p, attach);
       reopened.recover();
       ASSERT_GT(reopened.count(), 0u);  // s^0 is flushed at start_fresh
 

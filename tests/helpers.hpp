@@ -285,7 +285,7 @@ class RandomStoreTrace {
     return dv;
   }
 
-  /// Apply one op to any store-shaped object (flat store, sharded store, or
+  /// Apply one op to any store-shaped object (flat store, process store, or
   /// a bare StorageBackend — they share the mutation signatures).
   template <typename Store>
   void apply(const Op& op, Store& store) const {
@@ -384,15 +384,15 @@ bool stores_match(const Reference& reference, const Store& store) {
 /// dropped mid-window must recover to the state after SOME prefix of the
 /// acknowledged schedule — never a reordering, never a gap.  Replays
 /// `trace`'s schedule op by op into a fresh in-memory reference (same owner
-/// and stripe count as `store`) and asserts the recovered `store` matches
-/// one of the intermediate states, at or after `at_least` applied ops and at
-/// most `applied` (the ops acknowledged before the drop).  Returns the
+/// as `store`) and asserts the recovered `store` matches one of the
+/// intermediate states, at or after `at_least` applied ops and at most
+/// `applied` (the ops acknowledged before the drop).  Returns the
 /// prefix length found.
 template <typename Store>
 std::size_t expect_consistent_prefix(const RandomStoreTrace& trace,
                                      const Store& store, std::size_t applied,
                                      std::size_t at_least = 0) {
-  ckpt::ShardedCheckpointStore reference(store.owner(), store.shard_count());
+  ckpt::ShardedCheckpointStore reference(store.owner());
   applied = std::min(applied, trace.ops().size());
   std::size_t prefix = 0;
   if (at_least == 0 && stores_match(reference, store)) return 0;

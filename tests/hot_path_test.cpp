@@ -1,8 +1,7 @@
 // Hot-path contract tests for the allocation-free receive path:
 //  * property-style equivalence of the batched APIs against the per-peer
 //    reference sequences they coalesce (UcTable::rebind_to vs release+link,
-//    RdtLgc::on_new_dependencies vs on_new_dependency, whole-system batched
-//    vs per-peer delivery on randomized workloads);
+//    RdtLgc::on_new_dependencies vs on_new_dependency);
 //  * a zero-allocation guarantee for the steady-state receive
 //    (merge_into + on_new_dependencies + CCB/store maintenance), enforced
 //    with a global operator new/delete counting hook.
@@ -19,7 +18,6 @@
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "core/rdt_lgc.hpp"
 #include "core/uc_table.hpp"
-#include "harness/system.hpp"
 #include "helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -259,43 +257,6 @@ TEST(HotPathRdtLgc, BatchedHookMatchesPerPeerHookOnRandomizedEvents) {
   EXPECT_GT(batched.lgc.collected(), 0u);
 }
 
-// ---- Whole-system equivalence --------------------------------------------
-
-TEST(HotPathSystem, BatchedAndPerPeerDeliveriesProduceIdenticalRuns) {
-  for (const std::uint64_t seed : {3u, 19u}) {
-    harness::SystemConfig config;
-    config.process_count = 4;
-    config.gc = harness::GcChoice::kRdtLgc;
-    config.seed = seed;
-    config.node.batched_gc_path = true;
-    harness::System batched(config);
-    config.node.batched_gc_path = false;
-    harness::System per_peer(config);
-
-    for (harness::System* system : {&batched, &per_peer}) {
-      workload::WorkloadConfig wl;
-      wl.seed = seed * 31 + 1;
-      workload::WorkloadDriver driver(system->simulator(), system->node_ptrs(),
-                                      wl);
-      driver.start(2000);
-      system->simulator().run();
-    }
-
-    for (ProcessId p = 0; p < 4; ++p) {
-      ASSERT_EQ(batched.node(p).store().stored_indices(),
-                per_peer.node(p).store().stored_indices())
-          << "seed " << seed << " p" << p;
-      ASSERT_EQ(batched.rdt_lgc(p).uc().to_string(),
-                per_peer.rdt_lgc(p).uc().to_string())
-          << "seed " << seed << " p" << p;
-      ASSERT_EQ(batched.rdt_lgc(p).collected(),
-                per_peer.rdt_lgc(p).collected())
-          << "seed " << seed << " p" << p;
-    }
-    test::audit_exact_corollary1(batched);
-  }
-}
-
 // ---- Zero allocations on the steady-state receive ------------------------
 
 TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
@@ -315,12 +276,10 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
     rig.lgc.on_new_dependencies(changed.span());
   };
   // Warm-up: bind every UC entry, fill the scratch buffer, and run enough
-  // checkpoint+receive cycles to lap every stripe of the sharded store
-  // twice — consecutive indices round-robin across the shards, so each
-  // shard's recycled spare DV buffer and flat-vector capacity is primed
-  // before the measured window starts.
+  // checkpoint+receive cycles that the store's recycled spare DV buffer and
+  // flat-vector capacity are primed before the measured window starts.
   receive_all();
-  for (std::size_t lap = 0; lap < 2 * rig.store.shard_count(); ++lap) {
+  for (int lap = 0; lap < 16; ++lap) {
     rig.checkpoint(self);
     receive_all();
   }
@@ -328,7 +287,7 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   const std::uint64_t before = g_allocation_count.load();
   for (int round = 0; round < 100; ++round) {
     // Full steady-state cycle: store a checkpoint (copy-in put into the
-    // owning shard's recycled buffer), then a worst-case receive that
+    // store's recycled buffer), then a worst-case receive that
     // rebinds all n-1 peers and eliminates the abandoned checkpoint
     // through the store.
     rig.checkpoint(self);
@@ -337,34 +296,6 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "steady-state checkpoint/receive churn touched the heap";
   EXPECT_GE(rig.lgc.collected(), 100u);  // eliminations did happen
-}
-
-// ---- Zero allocations per shard of the sharded store ---------------------
-
-TEST(HotPathAllocations, StripedModeChurnIsAllocationFreeToo) {
-  // Arming the per-stripe locks (StoreConcurrency::kStriped) must not cost
-  // the hot path its allocation contract: spinlocks are atomic_flags, the
-  // lock array is construction-time, and the guarded merged-cache rebuild
-  // reuses the warmed buffer.
-  const std::size_t n = 32;
-  ckpt::ShardedCheckpointStore store(0, 8, ckpt::StoreConcurrency::kStriped);
-  causality::DependencyVector dv(n);
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
-  CheckpointIndex next = 0;
-  for (; next < window; ++next) store.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
-  (void)store.stored_indices();
-
-  const std::uint64_t before = g_allocation_count.load();
-  for (int round = 0; round < 200; ++round) {
-    store.put(next, dv, 0, 1);
-    store.collect(next - window / 2);
-    ASSERT_FALSE(store.stored_indices().empty());
-    ++next;
-  }
-  EXPECT_EQ(g_allocation_count.load() - before, 0u)
-      << "striped-mode put/collect churn touched the heap";
 }
 
 TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
@@ -408,8 +339,8 @@ TEST(HotPathAllocations, BackendTraitChurnIsAllocationFreeForInMemory) {
   // dispatch on the churn path; for the in-memory backend that indirection
   // must stay allocation-free — no type-erasure boxing, no virtual-call
   // shims touching the heap.  Drive the flat store strictly through a
-  // StorageBackend reference, the same call shape the sharded store's
-  // stripes use for non-default backends.
+  // StorageBackend reference, the same call shape the process store uses
+  // for a persistent backend.
   const std::size_t n = 32;
   ckpt::CheckpointStore flat(0);
   ckpt::StorageBackend& backend = flat;
@@ -434,38 +365,30 @@ TEST(HotPathAllocations, BackendTraitChurnIsAllocationFreeForInMemory) {
       << "churn through the StorageBackend trait touched the heap";
 }
 
-TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFreePerShard) {
+TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFree) {
   // Drive the store directly (no GC) through the put/collect churn every
-  // collector produces, spread across all stripes, and require that once
-  // every shard's spare buffer and vector capacity is warm the churn —
-  // including the lazily rebuilt cross-shard stored_indices() view — never
+  // collector produces, and require that once the recycled spare buffer and
+  // vector capacity are warm the churn — stored_indices() included — never
   // touches the heap.
   const std::size_t n = 32;
   ckpt::ShardedCheckpointStore store(0);
   causality::DependencyVector dv(n);
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
+  constexpr CheckpointIndex kWindow = 16;
   CheckpointIndex next = 0;
-  // Warm-up lap: fill a window covering every shard twice, then collect one
-  // lap so each shard has recycled a spare and the merged cache is sized.
-  for (; next < window; ++next) store.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
+  // Warm-up: fill a window, then collect half of it so the spare is primed.
+  for (; next < kWindow; ++next) store.put(next, dv, 0, 1);
+  for (CheckpointIndex g = 0; g < kWindow / 2; ++g) store.collect(g);
   (void)store.stored_indices();
 
   const std::uint64_t before = g_allocation_count.load();
   for (int round = 0; round < 200; ++round) {
-    store.put(next, dv, 0, 1);  // copy-in put: the shard's recycled buffer
-    store.collect(next - window / 2);
+    store.put(next, dv, 0, 1);  // copy-in put: the recycled buffer
+    store.collect(next - kWindow / 2);
     ASSERT_FALSE(store.stored_indices().empty());
     ++next;
   }
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
-      << "sharded steady-state put/collect churn touched the heap";
-  // The churn really exercised every stripe's recycler, not just one.
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    EXPECT_GT(store.shard(s).stats().stored, 0u) << "shard " << s;
-    EXPECT_GT(store.shard(s).stats().collected, 0u) << "shard " << s;
-  }
+      << "steady-state put/collect churn touched the heap";
 }
 
 TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
@@ -506,15 +429,12 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
     config.initial_slots = 256;
     config.compact_min_records = 1u << 20;
     config.durability = c.policy;
-    ckpt::ShardedCheckpointStore store(
-        0, 8, ckpt::StoreConcurrency::kUnsynchronized, config);
+    ckpt::ShardedCheckpointStore store(0, config);
     causality::DependencyVector dv(8);
-    const CheckpointIndex window =
-        static_cast<CheckpointIndex>(2 * store.shard_count());
+    constexpr CheckpointIndex window = 16;
     CheckpointIndex next = 0;
-    // Warm-up: two laps over every stripe size the flat mirrors, the
-    // recycled spares, the pipeline's slot DV buffers, and the backends'
-    // serialization scratch; the flush sizes the drain-side batch buffers
+    // Warm-up: sizes the flat mirror, the recycled spare, the pipeline's
+    // slot DV buffers, and the backend's serialization scratch; the flush sizes the drain-side batch buffers
     // at their maximum (it drains the whole pending window in one pass).
     for (; next < window; ++next) store.put(next, dv, 0, 1);
     for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);

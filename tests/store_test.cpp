@@ -1,12 +1,11 @@
 // Unit tests for the stable-storage model: the flat ckpt::CheckpointStore,
-// the index-striped ckpt::ShardedCheckpointStore, and a randomized-trace
+// the per-process ckpt::ShardedCheckpointStore, and a randomized-trace
 // property test that the two stay observably equivalent (the flat store is
-// the sharded store's reference implementation).  The trace itself is the
+// the process store's reference implementation).  The trace itself is the
 // shared test::RandomStoreTrace harness — the same schedules also drive the
 // persistent backends in tests/backend_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 
 #include "ckpt/checkpoint_store.hpp"
@@ -136,40 +135,11 @@ TEST(CheckpointStore, StoredCountAccumulates) {
 
 // ---- ShardedCheckpointStore ----------------------------------------------
 
-TEST(ShardedCheckpointStore, StripeFunctionUsesLowBits) {
-  ShardedCheckpointStore store(0);
-  ASSERT_EQ(store.shard_count(), ShardedCheckpointStore::kDefaultShardCount);
-  EXPECT_EQ(store.shard_of(0), 0u);
-  EXPECT_EQ(store.shard_of(7), 7u);
-  EXPECT_EQ(store.shard_of(8), 0u);
-  EXPECT_EQ(store.shard_of(13), 5u);
-}
-
-TEST(ShardedCheckpointStore, ShardCountMustBePowerOfTwo) {
-  EXPECT_THROW(ShardedCheckpointStore(0, 0), util::ContractViolation);
-  EXPECT_THROW(ShardedCheckpointStore(0, 3), util::ContractViolation);
-  EXPECT_THROW(ShardedCheckpointStore(0, 12), util::ContractViolation);
-  EXPECT_NO_THROW(ShardedCheckpointStore(0, 1));  // degenerates to flat
-  EXPECT_NO_THROW(ShardedCheckpointStore(0, 16));
-}
-
-TEST(ShardedCheckpointStore, IndexZeroLandsInShardZero) {
-  ShardedCheckpointStore store(0);
-  store.put(make(0, 5));
-  EXPECT_TRUE(store.contains(0));
-  EXPECT_EQ(store.get(0).bytes, 5u);
-  EXPECT_EQ(store.shard(0).count(), 1u);
-  for (std::size_t s = 1; s < store.shard_count(); ++s)
-    EXPECT_EQ(store.shard(s).count(), 0u) << "shard " << s;
-  EXPECT_EQ(store.last_index(), 0);
-}
-
 TEST(ShardedCheckpointStore, MaxIndexMapsIntoRangeAndIsRetrievable) {
   ShardedCheckpointStore store(0);
   const CheckpointIndex max = std::numeric_limits<CheckpointIndex>::max();
   store.put(make(0));
   store.put(make(max, 3));
-  ASSERT_LT(store.shard_of(max), store.shard_count());
   EXPECT_TRUE(store.contains(max));
   EXPECT_EQ(store.get(max).bytes, 3u);
   EXPECT_EQ(store.last_index(), max);
@@ -178,104 +148,22 @@ TEST(ShardedCheckpointStore, MaxIndexMapsIntoRangeAndIsRetrievable) {
   EXPECT_THROW(store.put(make(max)), util::ContractViolation);
 }
 
-TEST(ShardedCheckpointStore, CollectCanEmptyExactlyOneShard) {
-  ShardedCheckpointStore store(0);
-  // One checkpoint per shard plus a second lap into shard 0.
-  const auto count = static_cast<CheckpointIndex>(store.shard_count());
-  for (CheckpointIndex i = 0; i <= count; ++i) store.put(make(i));
-  store.collect(3);  // shard 3 held exactly one checkpoint
-  EXPECT_EQ(store.shard(3).count(), 0u);
-  EXPECT_FALSE(store.contains(3));
-  EXPECT_EQ(store.count(), static_cast<std::size_t>(count));
-  EXPECT_EQ(store.last_index(), count);
-  // Every other shard is untouched.
-  EXPECT_EQ(store.shard(0).count(), 2u);
-  for (std::size_t s = 1; s < store.shard_count(); ++s)
-    if (s != 3) EXPECT_EQ(store.shard(s).count(), 1u) << "shard " << s;
-  // The emptied shard's spare still recycles into the next lap's put.
-  store.put(static_cast<CheckpointIndex>(count + 3), make(0).dv, 0, 1);
-  EXPECT_EQ(store.shard(3).count(), 1u);
-}
-
-TEST(ShardedCheckpointStore, StoredIndicesStaysCoherentAcrossShards) {
-  // Regression: the cross-shard view must always equal the ascending union
-  // of the per-shard live views, through puts, collects, and discards that
-  // interleave the stripes in every order.
-  ShardedCheckpointStore store(0);
-  auto expect_coherent = [&] {
-    std::vector<CheckpointIndex> expected;
-    for (std::size_t s = 0; s < store.shard_count(); ++s)
-      expected.insert(expected.end(), store.shard(s).stored_indices().begin(),
-                      store.shard(s).stored_indices().end());
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(store.stored_indices(), expected);
-    ASSERT_TRUE(std::is_sorted(store.stored_indices().begin(),
-                               store.stored_indices().end()));
-    ASSERT_EQ(store.count(), expected.size());
-  };
-  for (CheckpointIndex i = 0; i < 20; ++i) {
-    store.put(make(i));
-    expect_coherent();
-  }
-  for (const CheckpointIndex g : {0, 9, 17, 3, 11}) {
-    store.collect(g);
-    expect_coherent();
-  }
-  store.discard_after(12);
-  expect_coherent();
-  store.put(make(13));  // lineage restart after the rollback discard
-  expect_coherent();
-}
-
-TEST(ShardedCheckpointStore, CopyInPutRecyclesWithinTheOwningShard) {
-  ShardedCheckpointStore store(0);
-  causality::DependencyVector dv(3);
-  dv.at(1) = 4;
-  store.put(7, dv, 12, 9);
-  ASSERT_TRUE(store.contains(7));
-  EXPECT_EQ(store.get(7).dv, dv);
-  store.collect(7);  // recycles into shard 7's spare
-  dv.at(2) = 1;
-  store.put(15, dv, 13, 2);  // same stripe (15 & 7 == 7): reuses the spare
-  EXPECT_EQ(store.get(15).dv, dv);
-  dv.at(0) = 99;
-  EXPECT_NE(store.get(15).dv, dv);  // copied, not aliased
-}
-
-// ---- Sharded vs flat equivalence under randomized traces ------------------
-
-/// Drives a flat reference store and a sharded store through an identical
-/// RandomStoreTrace schedule and requires every observable — membership,
-/// payloads, the ascending index view, counters, stats — to match after
-/// every step.  Run across shard counts bracketing the default (1
-/// degenerates to flat-vs-flat, 16 leaves most stripes sparse).
-void run_equivalence_trace(
-    std::size_t shard_count, std::uint64_t seed,
-    StoreConcurrency mode = StoreConcurrency::kUnsynchronized) {
-  const test::RandomStoreTrace trace(seed);
-  CheckpointStore flat(3);
-  ShardedCheckpointStore sharded(3, shard_count, mode);
-  for (const test::RandomStoreTrace::Op& op : trace.ops()) {
-    trace.apply(op, flat);
-    trace.apply(op, sharded);
-    test::expect_stores_equal(flat, sharded);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
+/// Drives a flat reference store and the process store through an
+/// identical RandomStoreTrace schedule and requires every observable —
+/// membership, payloads, the ascending index view, counters, stats — to
+/// match after every step.
 TEST(ShardedCheckpointStore, MatchesFlatStoreOnRandomizedTraces) {
-  run_equivalence_trace(1, 20260725);
-  run_equivalence_trace(ShardedCheckpointStore::kDefaultShardCount, 97);
-  run_equivalence_trace(16, 7);
-}
-
-TEST(ShardedCheckpointStore, StripedModeMatchesFlatStoreOnRandomizedTraces) {
-  // Arming the stripe locks must leave every single-threaded observable
-  // identical (the multi-threaded interleavings live in concurrency_test).
-  run_equivalence_trace(1, 20260725, StoreConcurrency::kStriped);
-  run_equivalence_trace(ShardedCheckpointStore::kDefaultShardCount, 97,
-                        StoreConcurrency::kStriped);
-  run_equivalence_trace(16, 7, StoreConcurrency::kStriped);
+  for (const std::uint64_t seed : {20260725u, 97u, 7u}) {
+    const test::RandomStoreTrace trace(seed);
+    CheckpointStore flat(3);
+    ShardedCheckpointStore store(3);
+    for (const test::RandomStoreTrace::Op& op : trace.ops()) {
+      trace.apply(op, flat);
+      trace.apply(op, store);
+      test::expect_stores_equal(flat, store);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -92,9 +92,7 @@ std::vector<CheckpointIndex> line_from_fleet_media(const ProcFleet& fleet,
     storage.directory = fleet.storage_dir(static_cast<ProcessId>(p));
     storage.open_mode = ckpt::OpenMode::kAttach;
     stores.push_back(std::make_unique<ckpt::ShardedCheckpointStore>(
-        static_cast<ProcessId>(p),
-        ckpt::ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, storage));
+        static_cast<ProcessId>(p), storage));
     stores.back()->recover();
     ptrs.push_back(stores.back().get());
   }

@@ -321,7 +321,7 @@ TEST(WireReject, BadMagicVersionKind) {
   EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
 }
 
-// ---- Version-2 compatibility ----------------------------------------------
+// ---- Version stamp --------------------------------------------------------
 
 WireBuffer recovery_start_frame() {
   WireBuffer buf;
@@ -347,80 +347,19 @@ WireBuffer rolled_back_frame() {
   return buf;
 }
 
-/// A Data frame exactly as a v1/v2 peer would emit it: the v3 encoder's
-/// trailing control section stripped (the empty-count u32), length re-sealed
-/// and the version re-stamped.
-WireBuffer downgraded_data_frame(std::uint8_t version) {
-  WireBuffer buf;
-  DataBody b;
-  b.send_interval = 4;
-  b.bytes = 9;
-  b.dv = {1, 2, 3};
-  encode_data(buf, meta(0, 1, 0, 3), b);
-  buf.resize(buf.size() - 4);  // drop the (empty) control-count field
-  patch_u32(buf, 4, static_cast<std::uint32_t>(buf.size()));
-  buf[8] = version;  // version low byte; high is 0
-  return buf;
-}
-
-// Backward compatibility: a frame produced by a version-1 peer (every
-// pre-recovery kind) still decodes under the current codec — total decoding
-// is preserved across the bumps.
-TEST(WireCompat, Version1FramesStillDecode) {
-  DecodedFrame f;
-  WireBuffer frame = sample_frame();
-  frame[8] = 1;  // re-stamp as a v1 frame (version low byte; high is 0)
-  EXPECT_EQ(decode_frame(frame, f), WireError::kOk);
-  EXPECT_EQ(decode_frame(downgraded_data_frame(1), f), WireError::kOk);
-}
-
-// A v1/v2 Data frame has no control section: it must decode with an EMPTY
-// control vector even when the reused DecodedFrame still holds words from a
-// previous v3 decode — and a v3 frame without the section is kTruncated.
-TEST(WireCompat, PreV3DataDecodesWithoutControlWords) {
-  DecodedFrame f;
-  DataBody b;
-  b.send_interval = 1;
-  b.bytes = 2;
-  b.dv = {5, 6};
-  b.control = {41, 42};
-  WireBuffer v3;
-  encode_data(v3, meta(1, 0, 0, 8), b);
-  ASSERT_EQ(decode_frame(v3, f), WireError::kOk);
-  ASSERT_EQ(f.data.control, b.control);  // f now holds stale words
-
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    EXPECT_EQ(decode_frame(downgraded_data_frame(version), f), WireError::kOk);
-    EXPECT_TRUE(f.data.control.empty()) << "version " << int{version};
-  }
-
-  // The same bytes stamped v3 lack the mandatory control count.
-  WireBuffer bad = downgraded_data_frame(3);
-  DecodedFrame g;
-  EXPECT_EQ(decode_frame(bad, g), WireError::kTruncated);
-}
-
-// The recovery kinds (8, 9) did not exist in version 1: a v1 frame claiming
-// one is structurally impossible and must be kBadKind, never UB and never a
-// successful decode a v1-era consumer could misroute.
-TEST(WireCompat, Version1RecoveryKindsRejected) {
-  DecodedFrame f;
-  WireBuffer frame = recovery_start_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
-
-  frame = rolled_back_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
-}
-
+// Only kWireVersion decodes: the parent and its workers come from one build,
+// so an older or newer stamp is corruption, never a peer to stay compatible
+// with — every frame kind, the recovery kinds included.
 TEST(WireCompat, VersionZeroAndFutureRejected) {
   DecodedFrame f;
-  WireBuffer frame = sample_frame();
-  frame[8] = 0;  // below kWireMinVersion
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
-  frame[8] = kWireVersion + 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
+  for (WireBuffer frame :
+       {sample_frame(), recovery_start_frame(), rolled_back_frame()}) {
+    for (const int version : {0, 1, 2, kWireVersion + 1}) {
+      frame[8] = static_cast<std::uint8_t>(version);  // low byte; high is 0
+      EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion)
+          << "version " << version;
+    }
+  }
 }
 
 TEST(WireCompat, EncodersStampCurrentVersion) {
@@ -580,12 +519,9 @@ TEST(WireFuzz, RandomGarbageNeverCrashes) {
 }
 
 TEST(WireFuzz, BitFlippedValidFramesNeverCrash) {
-  // Corpus: one v1-era frame, both recovery-session frames, and a
-  // control-bearing v3 Data frame, so the mutations cover the
-  // version-gated decode paths too.
+  // Corpus: both recovery-session frames and a control-bearing Data frame.
   const std::vector<WireBuffer> corpus = {
-      sample_frame(), recovery_start_frame(), rolled_back_frame(),
-      data_control_frame()};
+      recovery_start_frame(), rolled_back_frame(), data_control_frame()};
   std::mt19937_64 rng(4242);
   std::uniform_int_distribution<int> byte(0, 255);
   DecodedFrame f;
