@@ -72,18 +72,18 @@ sim::MessageId CcpRecorder::new_message_id() {
   return messages_.back().id;
 }
 
-void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    std::span<const IntervalIndex> row,
+void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
+                                    const causality::DependencyVector& dv,
                                     CheckpointKind kind, SimTime t) {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < checkpoints_.size());
   auto& list = checkpoints_[static_cast<std::size_t>(p)];
   RDTGC_EXPECTS(idx == static_cast<CheckpointIndex>(list.size()));
-  RDTGC_EXPECTS(row.size() == process_count());
-  RDTGC_EXPECTS(row[static_cast<std::size_t>(p)] == idx);
+  RDTGC_EXPECTS(dv.size() == process_count());
+  RDTGC_EXPECTS(dv[p] == idx);
   // The DV is appended as one row of p's history arena: no per-record heap
   // vector, so steady-state recording is O(1)-allocation (one chunk per
   // rows_per_chunk records, exactly zero after reserve()).
-  dv_arena_[static_cast<std::size_t>(p)].push(row);
+  dv_arena_[static_cast<std::size_t>(p)].push(dv.entries());
   CheckpointInfo& info = list.emplace_back();
   info.process = p;
   info.index = idx;
@@ -94,20 +94,7 @@ void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
   ++stats_.checkpoints_recorded;
 }
 
-void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    const causality::DependencyVector& dv,
-                                    CheckpointKind kind, SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-}
-
-void CcpRecorder::seed_checkpoint(ProcessId p, CheckpointIndex idx,
-                                  causality::DvView dv, CheckpointKind kind,
-                                  SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-  ++stats_.checkpoints_seeded;
-}
-
-void CcpRecorder::record_send(sim::Message& m, SimTime t) {
+void CcpRecorder::record_send(sim::Message& m) {
   RDTGC_EXPECTS(m.id >= 1 && m.id <= messages_.size());
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(info.send_serial == 0);  // each id used once
@@ -117,11 +104,10 @@ void CcpRecorder::record_send(sim::Message& m, SimTime t) {
   info.send_serial = next_serial_[static_cast<std::size_t>(m.src)]++;
   info.send_gseq = next_gseq_++;
   m.send_serial = info.send_serial;
-  (void)t;
 }
 
 void CcpRecorder::record_receive(const sim::Message& m,
-                                 IntervalIndex recv_interval, SimTime t) {
+                                 IntervalIndex recv_interval) {
   RDTGC_EXPECTS(m.id >= 1 && m.id <= messages_.size());
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(!info.delivered);
@@ -130,7 +116,6 @@ void CcpRecorder::record_receive(const sim::Message& m,
   info.recv_interval = recv_interval;
   info.recv_serial = next_serial_[static_cast<std::size_t>(m.dst)]++;
   info.recv_gseq = next_gseq_++;
-  (void)t;
 }
 
 void CcpRecorder::set_volatile_dv(ProcessId p,
@@ -172,13 +157,12 @@ void CcpRecorder::undo_after(ProcessId p, CheckpointIndex ri) {
   }
 }
 
-void CcpRecorder::record_rollback(ProcessId p, CheckpointIndex ri, SimTime t) {
+void CcpRecorder::record_rollback(ProcessId p, CheckpointIndex ri) {
   undo_after(p, ri);
   ++stats_.rollbacks;
-  (void)t;
 }
 
-void CcpRecorder::record_restart(ProcessId p, CheckpointIndex ri, SimTime t) {
+void CcpRecorder::record_restart(ProcessId p, CheckpointIndex ri) {
   // A process death undoes exactly what a rollback to the last surviving
   // stored checkpoint undoes: the volatile interval's events.  In the usual
   // case ri == last_stable(p) (every checkpoint is persisted when taken and
@@ -186,7 +170,6 @@ void CcpRecorder::record_restart(ProcessId p, CheckpointIndex ri, SimTime t) {
   // dead process's volatile-interval message endpoints.
   undo_after(p, ri);
   ++stats_.restarts;
-  (void)t;
 }
 
 void CcpRecorder::reattach_volatile_dv(ProcessId p,

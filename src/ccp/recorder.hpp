@@ -127,26 +127,12 @@ class CcpRecorder {
                          const causality::DependencyVector& dv,
                          CheckpointKind kind, SimTime t);
 
-  /// Seed checkpoint c_p^idx from stable media instead of observing it live:
-  /// used by ckpt::Node's attach when THIS recorder never saw p's lineage (a
-  /// real re-attach — the pre-crash OS process died together with the
-  /// recorder that observed it, and the replacement starts empty).  Rows for
-  /// checkpoints that survived on the media are bit-exact; the caller
-  /// synthesizes monotone placeholder rows for GC-collected gaps, making the
-  /// seeded recorder observer-grade only — global certification of a
-  /// cross-process run belongs to the replay oracle (transport/replay.hpp).
-  /// Preconditions match record_checkpoint (dense idx, dv[p] == idx).
-  /// Counted in stats().checkpoints_seeded as well as _recorded.
-  void seed_checkpoint(ProcessId p, CheckpointIndex idx, causality::DvView dv,
-                       CheckpointKind kind, SimTime t);
-
   /// Record the send of m (m.id must come from new_message_id);
   /// fills m.send_serial.
-  void record_send(sim::Message& m, SimTime t);
+  void record_send(sim::Message& m);
 
   /// Record delivery of m at its destination in `recv_interval`.
-  void record_receive(const sim::Message& m, IntervalIndex recv_interval,
-                      SimTime t);
+  void record_receive(const sim::Message& m, IntervalIndex recv_interval);
 
   /// Keep the volatile dependency vector DV(v_p) current (paper Eq. 3 uses
   /// it); called after every DV change by drivers that hold no stable DV.
@@ -161,7 +147,7 @@ class CcpRecorder {
 
   /// Record that p rolled back to checkpoint `ri`: checkpoints with index
   /// > ri die, as do message endpoints after c_p^ri.
-  void record_rollback(ProcessId p, CheckpointIndex ri, SimTime t);
+  void record_rollback(ProcessId p, CheckpointIndex ri);
 
   /// Record that p's process died and re-attached to its media at
   /// checkpoint `ri` (the highest index that survived on stable storage —
@@ -172,7 +158,7 @@ class CcpRecorder {
   /// restart instead of forgetting the pre-crash checkpoints.  The restarted
   /// Node re-validates its recovered DVs against these rows.
   /// Counted in stats().restarts, not stats().rollbacks.
-  void record_restart(ProcessId p, CheckpointIndex ri, SimTime t);
+  void record_restart(ProcessId p, CheckpointIndex ri);
 
   /// Re-register the live DV view of a RESTARTED process: the previous
   /// Node's vector died with it, and the warm replacement registers its own.
@@ -213,7 +199,6 @@ class CcpRecorder {
 
   struct Stats {
     std::uint64_t checkpoints_recorded = 0;
-    std::uint64_t checkpoints_seeded = 0;  ///< subset re-read from media
     std::uint64_t checkpoints_rolled_back = 0;
     std::uint64_t messages_rolled_back = 0;
     std::uint64_t rollbacks = 0;
@@ -225,12 +210,6 @@ class CcpRecorder {
   /// Shared undo of record_rollback/record_restart: kill checkpoints above
   /// `ri` and every message endpoint after c_p^ri.
   void undo_after(ProcessId p, CheckpointIndex ri);
-
-  /// Shared append of record_checkpoint/seed_checkpoint: one arena row plus
-  /// its CheckpointInfo, consuming a serial and a gseq.
-  void append_checkpoint(ProcessId p, CheckpointIndex idx,
-                         std::span<const IntervalIndex> row,
-                         CheckpointKind kind, SimTime t);
 
   std::uint64_t next_gseq_ = 1;
   std::vector<std::vector<CheckpointInfo>> checkpoints_;  // [p] live, by index

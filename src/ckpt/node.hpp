@@ -68,20 +68,26 @@ class Node {
   /// stores the initial stable checkpoint s^0 (§2.2); with OpenMode::kAttach
   /// it instead recovers the store from its media and resumes the persisted
   /// lineage (see Config::storage).  Attaching requires a persistent storage
-  /// kind and at least one surviving checkpoint.  Two recorder situations
-  /// exist at attach:
-  ///  * the recorder observed the pre-crash lineage (in-simulator warm
-  ///    restart) — the oracle's surviving rows are re-certified against the
-  ///    media bit-for-bit;
-  ///  * the recorder is empty for this process (a REAL re-attach: the old
-  ///    OS process died with its recorder, the replacement starts fresh) —
-  ///    the lineage is re-seeded from the media
-  ///    (CcpRecorder::seed_checkpoint), observer-grade only: collected
-  ///    checkpoints left no DV trace, so their rows are monotone
-  ///    placeholders and global certification is the replay oracle's job
-  ///    (transport/replay.hpp).
+  /// kind and at least one surviving checkpoint.
+  ///
+  /// This overload records every send, receive, checkpoint, rollback and
+  /// restart into `recorder`, the offline CCP oracle the Theorem-1 / RDT /
+  /// zigzag analyses run against.  An attaching recorded node requires the
+  /// recorder to hold the pre-crash lineage (an in-simulator warm restart,
+  /// harness::System::restart_node) and re-certifies the oracle's surviving
+  /// rows against the media bit-for-bit.
   Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
        transport::Transport& transport, ccp::CcpRecorder& recorder,
+       std::unique_ptr<CheckpointingProtocol> protocol,
+       std::unique_ptr<GarbageCollector> gc, Config config = Config());
+
+  /// A node that records nothing: the algorithm needs only its DV, its
+  /// collector and its store, so memory stays bounded by n and the live set
+  /// whatever the traffic.  Attaching resumes from the media alone.  Real
+  /// worker processes (transport/worker.hpp) run this way; their global
+  /// certification is the replay oracle's job (transport/replay.hpp).
+  Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
+       transport::Transport& transport,
        std::unique_ptr<CheckpointingProtocol> protocol,
        std::unique_ptr<GarbageCollector> gc, Config config = Config());
 
@@ -127,19 +133,25 @@ class Node {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// Both public constructors delegate here; `recorder` may be null.
+  Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
+       transport::Transport& transport, ccp::CcpRecorder* recorder,
+       std::unique_ptr<CheckpointingProtocol> protocol,
+       std::unique_ptr<GarbageCollector> gc, Config config);
+
   void on_receive(const sim::Message& m);
   void take_checkpoint(ccp::CheckpointKind kind);
   /// Cold-start tail of construction: fresh lineage, store s^0.
   void start_fresh(std::size_t process_count);
   /// Warm-start tail of construction: recover the store, restore DV past
-  /// the highest persisted index, re-certify the recorder's rows against
-  /// the media, rebuild the collector (on_attach).
+  /// the highest persisted index, re-certify the recorder's rows (if any)
+  /// against the media, rebuild the collector (on_attach).
   void attach_from_storage(std::size_t process_count);
 
   ProcessId self_;
   sim::Simulator& simulator_;
   transport::Transport& transport_;
-  ccp::CcpRecorder& recorder_;
+  ccp::CcpRecorder* recorder_;  ///< null: record nothing
   std::unique_ptr<CheckpointingProtocol> protocol_;
   std::unique_ptr<GarbageCollector> gc_;
   Config config_;

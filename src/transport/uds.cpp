@@ -158,6 +158,7 @@ sim::MessageId UdsTransport::send(sim::Message m) {
   meta.dst = m.dst;
   meta.incarnation = incarnation_;
   meta.seq = next_seq();
+  if (m.id == 0) m.id = meta.seq;
   encode_data(scratch_, meta, data_scratch_);
   enqueue_frame(scratch_);
   flush();  // opportunistic; never blocks

@@ -94,7 +94,8 @@ int try_send_frame(int fd, std::span<const std::uint8_t> frame);
 ///
 /// The endpoint serves exactly one process: connect() registers the local
 /// Node's sink, send() encodes the outgoing sim::Message as a Data frame
-/// stamped (self, incarnation, seq) and hands it to the send buffer.  The
+/// stamped (self, incarnation, seq) and hands it to the send buffer; a
+/// message sent without an id gets the frame's seq as its id.  The
 /// hot path NEVER blocks on the socket: frames go out with non-blocking
 /// writes and queue in `out_` under backpressure (Micro-Checkpointing's
 /// output-buffering discipline); the worker loop flushes the queue whenever
@@ -109,8 +110,9 @@ class UdsTransport final : public Transport {
   sim::Message make_message() override;
 
   /// Deliver an inbound application message to the local sink, then recycle
-  /// its DV buffer into make_message().  The caller (transport/worker.cpp)
-  /// has already registered the remote send with the local recorder.
+  /// its DV buffer into make_message().  The message needs no id: the
+  /// worker's Node records nothing, and the parent identifies the delivery
+  /// by the Data frame's (src, incarnation, seq).
   void deliver(sim::Message m);
 
   /// Queue an already-encoded non-Data frame behind everything already

@@ -1,6 +1,7 @@
 // Tiny leveled logger.  Logging is off by default so simulations stay quiet;
-// examples/tests opt in.  Not thread-safe by design: the simulator is
-// single-threaded (a deliberate choice for determinism).
+// examples/tests opt in.  Safe to call from any thread: the level is a
+// relaxed atomic, and each line reaches stderr in one insertion, so lines
+// from concurrent nodes (harness::FleetRunner) never tear.
 #pragma once
 
 #include <sstream>
@@ -10,7 +11,8 @@ namespace rdtgc::util {
 
 enum class LogLevel { kOff = 0, kInfo = 1, kDebug = 2 };
 
-/// Global log level (process-wide; the simulator is single-threaded).
+/// Global log level (process-wide; set it before starting threads whose
+/// output should follow the new level).
 LogLevel log_level();
 void set_log_level(LogLevel level);
 

@@ -4,9 +4,12 @@
 //    RdtLgc::on_new_dependencies vs on_new_dependency);
 //  * a zero-allocation guarantee for the steady-state receive
 //    (merge_into + on_new_dependencies + CCB/store maintenance), enforced
-//    with a global operator new/delete counting hook.
+//    with a global operator new/delete counting hook;
+//  * a flat live heap for recorder-less nodes: memory is bounded by n and
+//    the live set, not by the traffic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -15,22 +18,32 @@
 
 #include "causality/dependency_vector.hpp"
 #include "ccp/recorder.hpp"
+#include "ckpt/node.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "core/rdt_lgc.hpp"
 #include "core/uc_table.hpp"
 #include "helpers.hpp"
+#include "sim/simulator.hpp"
+#include "transport/transport.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 // ---- Allocation-counting hook -------------------------------------------
 //
-// Replaces the global (unaligned) new/delete pair with malloc/free plus a
-// counter.  Replacement is per-binary, so only this test sees it; the
+// Replaces the global (unaligned) new/delete pair with malloc/free plus
+// counters (allocations, and frees of non-null blocks: their difference is
+// the number of live heap blocks).  Replacement is per-binary, so only this test sees it; the
 // aligned overloads keep their defaults (replaced and default operators pair
 // correctly as long as whole new/delete families are swapped together).
 
 namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
+std::atomic<std::uint64_t> g_free_count{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) ++g_free_count;
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -50,13 +63,15 @@ void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
   return ::operator new(size, t);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace rdtgc {
@@ -323,7 +338,7 @@ TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
     ASSERT_EQ(view[3], idx);
   }
   // Rollback truncates rows; re-recording reuses the freed capacity.
-  recorder.record_rollback(3, 99, 200);
+  recorder.record_rollback(3, 99);
   const std::uint64_t after_rollback = g_allocation_count.load();
   dv.at(3) = 100;
   for (CheckpointIndex idx = 100; idx < 200; ++idx) {
@@ -461,6 +476,105 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
           << "the measured window never exercised an inline group commit";
     }
   }
+}
+
+// ---- Recorder-less nodes: live heap bounded by n, not by traffic ---------
+
+std::uint64_t live_heap_blocks() {
+  return g_allocation_count.load() - g_free_count.load();
+}
+
+/// Synchronous in-process transport between two nodes: send() hands the
+/// message straight to the destination's sink and keeps its buffers for the
+/// next make_message().
+class LoopbackTransport final : public transport::Transport {
+ public:
+  void connect(ProcessId p, transport::DeliveryFn sink) override {
+    sinks_.at(static_cast<std::size_t>(p)) = std::move(sink);
+  }
+  void disconnect(ProcessId p) override {
+    sinks_.at(static_cast<std::size_t>(p)) = nullptr;
+  }
+  sim::MessageId send(sim::Message m) override {
+    if (m.id == 0) m.id = next_id_++;
+    sinks_.at(static_cast<std::size_t>(m.dst))(m);
+    recycled_ = std::move(m);
+    return recycled_.id;
+  }
+  sim::Message make_message() override {
+    sim::Message m;
+    m.dv = std::move(recycled_.dv);
+    m.control = std::move(recycled_.control);
+    m.control.clear();
+    return m;
+  }
+
+ private:
+  std::array<transport::DeliveryFn, 2> sinks_;
+  sim::MessageId next_id_ = 1;
+  sim::Message recycled_;
+};
+
+TEST(HotPathAllocations, RecorderlessNodesKeepLiveHeapFlat) {
+  sim::Simulator simulator;
+  LoopbackTransport transport;
+  auto make_node = [&](ProcessId self) {
+    return std::make_unique<ckpt::Node>(
+        self, 2, simulator, transport,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>());
+  };
+  const auto p0 = make_node(0);
+  const auto p1 = make_node(1);
+  ckpt::Node* nodes[2] = {p0.get(), p1.get()};
+
+  util::Rng rng(20261021);
+  std::uint64_t events = 0;
+  // One event: a send (delivered synchronously, so send + deliver) from a
+  // random process, or a basic checkpoint on it.
+  auto run = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::uint64_t pick = rng.uniform(4);
+      ckpt::Node& node = *nodes[pick & 1];
+      if (pick < 2) {
+        node.send_app_message(node.id() == 0 ? 1 : 0);
+      } else {
+        node.take_basic_checkpoint();
+      }
+      ++events;
+    }
+  };
+
+  // Where a batch stops decides whether a store's recycled spare DV buffer
+  // is occupied, and how many checkpoints the peer's knowledge still pins.
+  // A fixed closing exchange — both checkpoint, trade one message each
+  // way, both checkpoint — leaves the same live set whatever came before.
+  auto settle = [&] {
+    p0->take_basic_checkpoint();
+    p1->take_basic_checkpoint();
+    p0->send_app_message(1);
+    p1->send_app_message(0);
+    p0->take_basic_checkpoint();
+    p1->take_basic_checkpoint();
+  };
+
+  run(10000);  // warm-up: recycled buffers and store capacity reach steady
+  settle();
+  const std::uint64_t warm = live_heap_blocks();
+  run(120000);
+  settle();
+  const std::uint64_t after = live_heap_blocks();
+  EXPECT_EQ(after, warm) << "live heap blocks grew with traffic";
+
+  EXPECT_EQ(events, 130000u);
+  const std::uint64_t received = p0->counters().messages_received +
+                                 p1->counters().messages_received;
+  EXPECT_GT(received, 50000u);
+  EXPECT_GT(p0->store().stats().collected + p1->store().stats().collected,
+            10000u);
+  // RDT-LGC's bound: at most n checkpoints stored per process.
+  EXPECT_LE(p0->store().count(), 2u);
+  EXPECT_LE(p1->store().count(), 2u);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ class RecorderTest : public ::testing::Test {
     m.dst = dst;
     m.dv = dv;
     m.send_interval = dv[src];
-    recorder_.record_send(m, 0);
+    recorder_.record_send(m);
     return m;
   }
 };
@@ -68,7 +68,7 @@ TEST_F(RecorderTest, MessageLifecycle) {
   EXPECT_EQ(m.send_serial, 2u);  // after p0's initial checkpoint
   const MessageInfo& info = recorder_.messages()[m.id - 1];
   EXPECT_FALSE(info.delivered);
-  recorder_.record_receive(m, 1, 5);
+  recorder_.record_receive(m, 1);
   EXPECT_TRUE(info.delivered);
   EXPECT_TRUE(info.live());
   EXPECT_EQ(info.recv_interval, 1);
@@ -79,14 +79,14 @@ TEST_F(RecorderTest, ReceiveBeforeSendRejected) {
   m.id = recorder_.new_message_id();
   m.src = 0;
   m.dst = 1;
-  EXPECT_THROW(recorder_.record_receive(m, 1, 0), util::ContractViolation);
+  EXPECT_THROW(recorder_.record_receive(m, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, DoubleReceiveRejected) {
   recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   sim::Message m = send(0, 1, dv3(1, 0, 0));
-  recorder_.record_receive(m, 1, 1);
-  EXPECT_THROW(recorder_.record_receive(m, 1, 2), util::ContractViolation);
+  recorder_.record_receive(m, 1);
+  EXPECT_THROW(recorder_.record_receive(m, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, RollbackTruncatesAndMarksMessagesDead) {
@@ -95,9 +95,9 @@ TEST_F(RecorderTest, RollbackTruncatesAndMarksMessagesDead) {
   recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 1);
   // Sent after s_0^1 (interval 2): dies when p0 rolls back to 1... to 0.
   sim::Message dead = send(0, 1, dv3(2, 0, 0));
-  recorder_.record_receive(dead, 1, 3);
+  recorder_.record_receive(dead, 1);
 
-  recorder_.record_rollback(0, 0, 10);
+  recorder_.record_rollback(0, 0);
   EXPECT_EQ(recorder_.last_stable(0), 0);
   EXPECT_FALSE(recorder_.messages()[dead.id - 1].send_alive);
   EXPECT_FALSE(recorder_.messages()[dead.id - 1].live());
@@ -113,13 +113,13 @@ TEST_F(RecorderTest, RollbackKeepsMessagesBeforeRestoredCheckpointAlive) {
   recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   sim::Message early = send(0, 1, dv3(1, 0, 0));  // interval 1, before s_0^1
-  recorder_.record_receive(early, 1, 2);
+  recorder_.record_receive(early, 1);
   recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 3);
   recorder_.record_checkpoint(0, 2, dv3(2, 0, 0), CheckpointKind::kBasic, 4);
 
   // Rolling back to s_0^1 undoes interval-2 events only; the interval-1 send
   // happened before the restored checkpoint and survives.
-  recorder_.record_rollback(0, 1, 10);
+  recorder_.record_rollback(0, 1);
   EXPECT_TRUE(recorder_.messages()[early.id - 1].live());
   EXPECT_TRUE(recorder_.audit_no_orphans());
 }
@@ -130,14 +130,14 @@ TEST_F(RecorderTest, RollbackUndoesCurrentIntervalSends) {
   recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   sim::Message m = send(0, 1, dv3(1, 0, 0));
-  recorder_.record_rollback(0, 0, 10);
+  recorder_.record_rollback(0, 0);
   EXPECT_FALSE(recorder_.messages()[m.id - 1].send_alive);
 }
 
 TEST_F(RecorderTest, IndexReuseAfterRollback) {
   recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
   recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 1);
-  recorder_.record_rollback(0, 0, 2);
+  recorder_.record_rollback(0, 0);
   // Re-execution reuses index 1; serials stay monotonic.
   recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 3);
   EXPECT_EQ(recorder_.last_stable(0), 1);
@@ -146,7 +146,7 @@ TEST_F(RecorderTest, IndexReuseAfterRollback) {
 
 TEST_F(RecorderTest, RollbackToVolatileOnlyRejected) {
   recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  EXPECT_THROW(recorder_.record_rollback(0, 1, 1), util::ContractViolation);
+  EXPECT_THROW(recorder_.record_rollback(0, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, VolatileDvTracksUpdates) {

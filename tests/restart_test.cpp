@@ -15,12 +15,18 @@
 #include <string>
 #include <vector>
 
+#include "ccp/recorder.hpp"
+#include "ckpt/node.hpp"
+#include "core/rdt_lgc.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
 #include "helpers.hpp"
 #include "recovery/recovery_manager.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rdtgc {
 namespace {
@@ -157,6 +163,47 @@ TEST(WarmRestart, DeathDropsParkedMessages) {
 
 /// Warm restart needs media: in-memory storage dies with the process, so
 /// restart_node refuses it up front.
+TEST(WarmRestart, RecordedAttachRequiresTheRecordedLineage) {
+  ScratchDir dir("unseen_lineage");
+  StorageConfig storage = media(StorageBackendKind::kMmapFile, dir.path());
+  CheckpointIndex last = 0;
+  std::vector<CheckpointIndex> stored;
+  {
+    Scenario s(3, ckpt::ProtocolKind::kFdas, harness::GcChoice::kRdtLgc,
+               storage);
+    build_lineage(s);
+    last = s.node(1).store().last_index();
+    stored = s.node(1).store().stored_indices();
+  }  // every process dies; p1's lineage survives on the media
+
+  storage.open_mode = OpenMode::kAttach;
+  ckpt::Node::Config config;
+  config.storage = storage;
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(7), sim::Network::Config{});
+  ccp::CcpRecorder recorder(3);
+
+  // A fresh recorder never saw p1's lineage: a recorded attach refuses the
+  // media instead of inventing rows for it.
+  EXPECT_THROW(
+      {
+        ckpt::Node node(1, 3, simulator, network, recorder,
+                        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+                        std::make_unique<core::RdtLgc>(), config);
+      },
+      util::ContractViolation);
+  EXPECT_TRUE(recorder.checkpoints(1).empty());
+
+  // The same media without a recorder: the node resumes from them alone.
+  network.disconnect(1);
+  ckpt::Node node(1, 3, simulator, network,
+                  ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+                  std::make_unique<core::RdtLgc>(), config);
+  EXPECT_EQ(node.last_checkpoint_index(), last);
+  EXPECT_EQ(node.dv()[1], last + 1);
+  EXPECT_EQ(node.store().stored_indices(), stored);
+}
+
 TEST(WarmRestart, InMemoryStorageRejected) {
   SystemConfig config;
   config.process_count = 2;

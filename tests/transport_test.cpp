@@ -28,6 +28,8 @@
 // uncertifiable position; a tamper test shows the oracle actually bites.
 // Every fleet wait is deadline-bounded, so a hung worker fails fast
 // instead of hanging CI (ctest adds a TIMEOUT belt on top).
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -44,6 +46,8 @@
 #include "transport/event_log.hpp"
 #include "transport/proc_fleet.hpp"
 #include "transport/replay.hpp"
+#include "transport/uds.hpp"
+#include "transport/wire.hpp"
 
 namespace rdtgc::transport {
 namespace {
@@ -518,6 +522,43 @@ TEST(Transport, MissingWorkerBinaryFailsWithinDeadline) {
   ProcFleet fleet(config);
   EXPECT_FALSE(fleet.start());
   EXPECT_FALSE(fleet.error().empty());
+}
+
+TEST(UdsTransport, AssignsDistinctIdsToBareMessages) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds), 0);
+  Fd local(fds[0]);
+  Fd peer(fds[1]);
+  UdsTransport uds(local.get(), 0, 1);
+  auto message = [&](sim::MessageId id) {
+    sim::Message m = uds.make_message();
+    m.id = id;
+    m.src = 0;
+    m.dst = 1;
+    m.dv = causality::DependencyVector(2);
+    return m;
+  };
+
+  // Sent without an id (a recorder-less Node's sends): each gets its own.
+  std::vector<sim::MessageId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(uds.send(message(0)));
+  for (const sim::MessageId id : ids) EXPECT_NE(id, 0u);
+  std::vector<sim::MessageId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "two bare sends got the same id";
+  // A caller's id is kept.
+  EXPECT_EQ(uds.send(message(77)), 77u);
+
+  // Every send went out as one Data frame, in order, its seq the bare id.
+  WireBuffer buf;
+  DecodedFrame frame;
+  for (std::size_t i = 0; i <= ids.size(); ++i) {
+    ASSERT_EQ(recv_frame(peer.get(), buf, 1000), RecvStatus::kFrame);
+    ASSERT_EQ(decode_frame(buf, frame), WireError::kOk);
+    EXPECT_EQ(frame.header.kind(), FrameKind::kData);
+    if (i < ids.size()) EXPECT_EQ(frame.header.seq, ids[i]);
+  }
 }
 
 }  // namespace

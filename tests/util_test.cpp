@@ -1,6 +1,7 @@
 // Unit tests for util: contract macros, RNG, table rendering, logging.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -197,6 +198,24 @@ TEST(Log, LevelsGateOutput) {
   set_log_level(LogLevel::kInfo);
   EXPECT_EQ(log_level(), LogLevel::kInfo);
   set_log_level(LogLevel::kOff);
+}
+
+TEST(Log, LevelMayChangeWhileOtherThreadsLog) {
+  // Nodes run on FleetRunner threads and log through RDTGC_DEBUG while the
+  // driver may set the level; the ThreadSanitizer leg flags any race here.
+  // The level toggles between kOff and kInfo, so no debug line is printed.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 3; ++t) {
+    loggers.emplace_back([&stop, t] {
+      while (!stop.load()) RDTGC_DEBUG("thread " << t);
+    });
+  }
+  for (int i = 0; i < 2000; ++i)
+    set_log_level(i % 2 == 0 ? LogLevel::kInfo : LogLevel::kOff);
+  stop.store(true);
+  for (std::thread& logger : loggers) logger.join();
+  EXPECT_EQ(log_level(), LogLevel::kOff);
 }
 
 }  // namespace
